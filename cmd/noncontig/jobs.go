@@ -54,8 +54,8 @@ func jobPattern(sess, rank int, n int64) []byte {
 // world of -p ranks over its own disjoint region of one shared store,
 // submit their collectives through the shared session service.  With
 // -servers the store is an in-process striped I/O-server tier mounted
-// through a per-server connection pool (-conns); otherwise it is memory,
-// optionally throttled.  Each session runs -reps interleaved
+// through a per-server connection pool (-conns); otherwise it is memory.
+// -read-bw, -write-bw and -latency throttle either store.  Each session runs -reps interleaved
 // write+read-back rounds of the nc-nc pattern; the report shows the
 // aggregate bandwidth and each session's queue-wait and cache behaviour.
 func runJobs(jf jobsFlags) {
@@ -101,9 +101,9 @@ func runJobs(jf jobsFlags) {
 		store = storage.NewResilient(a, storage.ResilientConfig{})
 	} else {
 		store = storage.NewMem()
-		if jf.readBW > 0 || jf.writeBW > 0 || jf.latency > 0 {
-			store = storage.NewThrottled(store, jf.readBW, jf.writeBW, jf.latency)
-		}
+	}
+	if jf.readBW > 0 || jf.writeBW > 0 || jf.latency > 0 {
+		store = storage.NewThrottled(store, jf.readBW, jf.writeBW, jf.latency)
 	}
 	if err := store.Truncate(fileSize * int64(jf.jobs)); err != nil {
 		log.Fatal(err)

@@ -228,11 +228,13 @@ func main() {
 			// The remote tier rides behind the retry policy: a server
 			// bounce or an injected wire fault surfaces as a transient,
 			// and the client's reconnect + stage-log replay heals it.
-			backend = storage.NewResilient(a, storage.ResilientConfig{
+			tier := storage.NewResilient(a, storage.ResilientConfig{
 				MaxRetries:  30,
 				BaseBackoff: 2 * time.Millisecond,
 				MaxBackoff:  200 * time.Millisecond,
 			})
+			tier.RegisterMetrics(reg, obs.Label{Key: "mount", Value: "tier"})
+			backend = tier
 		} else {
 			if *file == "" {
 				log.Fatal("-net rank requires -file (the shared data file) or -server-addrs")
@@ -290,12 +292,14 @@ func main() {
 		chaos.SetTracer(collector.Storage())
 		resilient = storage.NewResilient(chaos, storage.ResilientConfig{Seed: *chaosSeed + 1})
 		resilient.SetTracer(collector.Storage())
+		resilient.RegisterMetrics(reg, obs.Label{Key: "mount", Value: "chaos"})
 		backend = resilient
 	}
-	if collector != nil {
-		// Outermost wrapper: spans cover the whole retry loop of each
-		// operation, on the shared storage-backend track.
-		backend = storage.NewTraced(backend, collector.Storage())
+	if collector != nil || reg != nil {
+		// Outermost wrapper: spans and storage_* metrics cover the
+		// whole retry loop of each operation, spans on the shared
+		// storage-backend track.
+		backend = storage.NewObserved(backend, collector.Storage(), reg)
 	}
 
 	cfg := noncontig.Config{
@@ -730,8 +734,8 @@ func runServer(sc serverConfig) {
 	} else if sc.flight != "" {
 		collector = trace.NewCollector(obs.RecorderBufSize)
 	}
-	if collector != nil {
-		backend = storage.NewTraced(backend, collector.Storage())
+	if collector != nil || reg != nil {
+		backend = storage.NewObserved(backend, collector.Storage(), reg)
 	}
 	serveMetrics(reg, sc.metricsAddr, sc.metricsFD, proc)
 	var rec *obs.Recorder

@@ -24,7 +24,7 @@ import (
 // setup, engine setup, and pool warm-up are identical in both runs and
 // cancel in the subtraction.  Storage operations (≈ syscalls against a
 // real file: a vectored batch is one preadv/pwritev) come from an
-// Instrumented backend the same way.
+// Observed backend the same way.
 //
 // A second, independent-access table isolates the vectored-I/O win on
 // the sieving-bypass direct path: a sparse c-nc access below the sieve
@@ -100,7 +100,7 @@ func allocConfig(s Scale) AllocComparison {
 // allocRun runs the nc-nc collective workload once with the given
 // repetition count and returns the memory and storage tallies.
 func allocRun(ac AllocComparison, eng core.Engine, pooled bool, reps int) (mallocs, bytes uint64, storageOps int64, res noncontig.Result, err error) {
-	inst := storage.NewInstrumented(storage.NewMem())
+	inst := storage.NewObserved(storage.NewMem(), nil, nil)
 	cfg := noncontig.Config{
 		P:          ac.P,
 		Blockcount: ac.Blockcount,
@@ -160,7 +160,7 @@ func runAllocPoint(ac AllocComparison, eng core.Engine, pooled bool) (AllocPoint
 func runAllocDirect(ac AllocComparison, vectored bool) (AllocDirectPoint, error) {
 	pt := AllocDirectPoint{Vectored: vectored}
 	run := func(reps int) (int64, noncontig.Result, error) {
-		inst := storage.NewInstrumented(storage.NewMem())
+		inst := storage.NewObserved(storage.NewMem(), nil, nil)
 		cfg := noncontig.Config{
 			P:          ac.P,
 			Blockcount: ac.Blockcount,

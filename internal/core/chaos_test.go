@@ -93,7 +93,8 @@ func TestCollectiveErrorAgreement(t *testing.T) {
 			label := fmt.Sprintf("%v/pipeline=%v", eng, pipeline)
 			checkLeaks := testutil.LeakCheck(t)
 
-			fb := storage.NewFaulty(storage.NewMem())
+			mem := storage.NewMem()
+			fb := storage.NewFaulty(mem)
 			sh := NewShared(fb)
 			errs := make([]error, P)
 			reread := make([][]byte, P)
@@ -137,7 +138,7 @@ func TestCollectiveErrorAgreement(t *testing.T) {
 			}
 			requireAgreement(t, label, errs, failIOP, PhaseIOPWindow)
 			want := collOracle(t, eng, pipeline, P, blockcount, blocklen)
-			if !bytes.Equal(fb.Backend.(*storage.Mem).Bytes(), want) {
+			if !bytes.Equal(mem.Bytes(), want) {
 				t.Errorf("%s: file bytes differ from fault-free oracle", label)
 			}
 			checkLeaks()
@@ -168,7 +169,8 @@ func TestFaultCollectiveMatrix(t *testing.T) {
 				label := fmt.Sprintf("%v/pipeline=%v/%s", eng, pipeline, op)
 				checkLeaks := testutil.LeakCheck(t)
 
-				fb := storage.NewFaulty(storage.NewMem())
+				mem := storage.NewMem()
+				fb := storage.NewFaulty(mem)
 				sh := NewShared(fb)
 				errs := make([]error, P)
 				_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
@@ -224,7 +226,7 @@ func TestFaultCollectiveMatrix(t *testing.T) {
 				}
 				requireAgreement(t, label, errs, failIOP, PhaseIOPWindow)
 				want := collOracle(t, eng, pipeline, P, blockcount, blocklen)
-				if !bytes.Equal(fb.Backend.(*storage.Mem).Bytes(), want) {
+				if !bytes.Equal(mem.Bytes(), want) {
 					t.Errorf("%s: recovered file differs from fault-free oracle", label)
 				}
 				checkLeaks()
@@ -253,7 +255,8 @@ func TestChaosCollectiveHarness(t *testing.T) {
 				label := fmt.Sprintf("seed=%d/%v/pipeline=%v", seed, eng, pipeline)
 				checkLeaks := testutil.LeakCheck(t)
 
-				chaos := storage.NewChaos(seed, storage.NewMem(), storage.TransientOnly())
+				mem := storage.NewMem()
+				chaos := storage.NewChaos(seed, mem, storage.TransientOnly())
 				be := storage.NewResilient(chaos, storage.ResilientConfig{Seed: seed + 1})
 				sh := NewShared(be)
 				reads := make([][]byte, P)
@@ -285,7 +288,7 @@ func TestChaosCollectiveHarness(t *testing.T) {
 					}
 				}
 				want := collOracle(t, eng, pipeline, P, blockcount, blocklen)
-				if !bytes.Equal(chaos.Backend.(*storage.Mem).Bytes(), want) {
+				if !bytes.Equal(mem.Bytes(), want) {
 					t.Errorf("%s: chaos file differs from fault-free oracle", label)
 				}
 				injected += chaos.Stats().Total()

@@ -410,7 +410,7 @@ func TestCollectiveWriteReadPartitioned(t *testing.T) {
 func TestCollectiveFullCoverageSkipsPreRead(t *testing.T) {
 	const P = 4
 	for _, eng := range []Engine{Listless, ListBased} {
-		be := storage.NewInstrumented(storage.NewMem())
+		be := storage.NewObserved(storage.NewMem(), nil, nil)
 		sh := NewShared(be)
 		var skipped int64
 		_, err := mpi.Run(P, func(p *mpi.Proc) {

@@ -24,7 +24,7 @@ func sparseType(t *testing.T) *datatype.Type {
 
 func TestDirectPathTriggersOnSparseAccess(t *testing.T) {
 	for _, eng := range []Engine{Listless, ListBased} {
-		be := storage.NewInstrumented(storage.NewMem())
+		be := storage.NewObserved(storage.NewMem(), nil, nil)
 		sh := NewShared(be)
 		_, err := mpi.Run(1, func(p *mpi.Proc) {
 			f, err := Open(p, sh, Options{Engine: eng, SieveDensity: 0.5})

@@ -65,8 +65,14 @@ func (s ChaosStats) Total() int64 {
 // CI replay an exact fault schedule.  Safe for concurrent use; the
 // draw order (and therefore the schedule) depends on operation
 // interleaving, so reproducibility is per-(seed, interleaving).
+//
+// Each data call — contiguous, vectored (one draw per batch) or view
+// transfer — is one injection point.  View transfers are all-or-nothing
+// on the wire, so they get spikes and transient/permanent failures but
+// no short reads or torn writes.  Registration, epoch control, truncate
+// and sync are control traffic and pass through uninjected.
 type Chaos struct {
-	Backend
+	spine
 	cfg ChaosConfig
 	tr  *trace.Tracer // optional fault-instant recording (see SetTracer)
 
@@ -86,12 +92,13 @@ func NewChaos(seed int64, b Backend, cfg ChaosConfig) *Chaos {
 	if cfg.MaxLatency <= 0 {
 		cfg.MaxLatency = time.Millisecond
 	}
-	return &Chaos{
-		Backend: b,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(seed)),
-		sleep:   time.Sleep,
+	c := &Chaos{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(seed)),
+		sleep: time.Sleep,
 	}
+	c.spine = spine{in: b, pol: c}
+	return c
 }
 
 // Stats returns a snapshot of the injection counters.
@@ -136,54 +143,84 @@ func (c *Chaos) maybeSpike(off int64) {
 	c.sleep(d)
 }
 
-// ReadAt implements io.ReaderAt with fault injection.
-func (c *Chaos) ReadAt(p []byte, off int64) (int, error) {
-	c.maybeSpike(off)
-	if c.hit(c.cfg.PermanentRead) {
-		c.permanents.Add(1)
-		c.instant(trace.PhaseChaosPermanent, off, len(p), "read fault")
-		return 0, fmt.Errorf("storage: chaos read fault at offset %d: %w", off, ErrPermanent)
+// SetTracer arms a Chaos backend to emit an instant event for every
+// injected fault, tagging the trace timeline with the exact offset and
+// fault class.  Must be called before the backend is shared across
+// goroutines.
+func (c *Chaos) SetTracer(tr *trace.Tracer) { c.tr = tr }
+
+// instant records a fault injection on the trace, skipping the detail
+// formatting entirely when tracing is off.
+func (c *Chaos) instant(ph trace.Phase, off, n int64, format string, args ...any) {
+	if !c.tr.Enabled() {
+		return
 	}
-	if c.hit(c.cfg.TransientRead) {
-		c.transients.Add(1)
-		c.instant(trace.PhaseChaosTransient, off, len(p), "read fault")
-		return 0, fmt.Errorf("storage: chaos read fault at offset %d: %w", off, ErrTransient)
-	}
-	if len(p) > 1 && c.hit(c.cfg.ShortRead) {
-		c.shortReads.Add(1)
-		n, err := c.Backend.ReadAt(p[:c.cut(len(p))], off)
-		if err != nil {
-			return n, err
-		}
-		c.instant(trace.PhaseChaosShortRead, off, n, "%d of %d bytes", n, len(p))
-		return n, fmt.Errorf("storage: chaos short read (%d of %d bytes) at offset %d: %w",
-			n, len(p), off, ErrTransient)
-	}
-	return c.Backend.ReadAt(p, off)
+	c.tr.Instant(ph, off, n, fmt.Sprintf(format, args...))
 }
 
-// WriteAt implements io.WriterAt with fault injection.
-func (c *Chaos) WriteAt(p []byte, off int64) (int, error) {
-	c.maybeSpike(off)
-	if c.hit(c.cfg.PermanentWrite) {
+// around injects faults in the order spike → permanent → transient →
+// short read / torn write.  A short read delivers, and a torn write
+// persists, a strict prefix of the call and reports a transient error.
+func (c *Chaos) around(cl call) (int64, error) {
+	dir, pPerm, pTrans, pCut := "read", c.cfg.PermanentRead, c.cfg.TransientRead, c.cfg.ShortRead
+	cut, cuts, cutPh := "short read", &c.shortReads, trace.PhaseChaosShortRead
+	switch {
+	case cl.kind.writes():
+		dir, pPerm, pTrans, pCut = "write", c.cfg.PermanentWrite, c.cfg.TransientWrite, c.cfg.TornWrite
+		cut, cuts, cutPh = "torn write", &c.tornWrites, trace.PhaseChaosTornWrite
+	case !cl.kind.reads():
+		return cl.run()
+	}
+	c.maybeSpike(cl.off)
+	if c.hit(pPerm) {
 		c.permanents.Add(1)
-		c.instant(trace.PhaseChaosPermanent, off, len(p), "write fault")
-		return 0, fmt.Errorf("storage: chaos write fault at offset %d: %w", off, ErrPermanent)
+		return 0, c.fault(cl, dir, "permanent", trace.PhaseChaosPermanent, ErrPermanent)
 	}
-	if c.hit(c.cfg.TransientWrite) {
+	if c.hit(pTrans) {
 		c.transients.Add(1)
-		c.instant(trace.PhaseChaosTransient, off, len(p), "write fault")
-		return 0, fmt.Errorf("storage: chaos write fault at offset %d: %w", off, ErrTransient)
+		return 0, c.fault(cl, dir, "transient", trace.PhaseChaosTransient, ErrTransient)
 	}
-	if len(p) > 1 && c.hit(c.cfg.TornWrite) {
-		c.tornWrites.Add(1)
-		n, err := c.Backend.WriteAt(p[:c.cut(len(p))], off)
-		if err != nil {
-			return n, err
+	if cl.kind.view() || cl.n <= 1 || !c.hit(pCut) {
+		return cl.run()
+	}
+	cuts.Add(1)
+	n, err := cl.clip(int64(c.cut(int(cl.n)))).run()
+	if err != nil {
+		return n, err
+	}
+	c.instant(cutPh, cl.off, n, "%d of %d bytes", n, cl.n)
+	return n, fmt.Errorf("storage: chaos %s (%d of %d bytes) at offset %d: %w", cut, n, cl.n, cl.off, ErrTransient)
+}
+
+// fault records and builds one injected failure of the given class.
+func (c *Chaos) fault(cl call, dir, class string, ph trace.Phase, cause error) error {
+	if cl.kind.view() {
+		c.instant(trace.PhaseChaosViewOp, cl.off, cl.n, "view %s fault (%s)", dir, class)
+		return fmt.Errorf("storage: chaos view %s fault at data offset %d: %w", dir, cl.off, cause)
+	}
+	if cl.kind.vectored() {
+		c.instant(ph, cl.off, cl.n, "vectored %s fault", dir)
+	} else {
+		c.instant(ph, cl.off, cl.n, "%s fault", dir)
+	}
+	return fmt.Errorf("storage: chaos %s fault at offset %d: %w", dir, cl.off, cause)
+}
+
+// clipSegs returns a batch covering exactly the first n bytes of segs
+// (n < total), splitting the boundary segment.
+func clipSegs(segs []Segment, n int64) []Segment {
+	out := make([]Segment, 0, len(segs))
+	for _, s := range segs {
+		l := int64(len(s.Buf))
+		if n <= 0 {
+			break
 		}
-		c.instant(trace.PhaseChaosTornWrite, off, n, "%d of %d bytes", n, len(p))
-		return n, fmt.Errorf("storage: chaos torn write (%d of %d bytes) at offset %d: %w",
-			n, len(p), off, ErrTransient)
+		if l > n {
+			out = append(out, Segment{Off: s.Off, Buf: s.Buf[:n]})
+			break
+		}
+		out = append(out, s)
+		n -= l
 	}
-	return c.Backend.WriteAt(p, off)
+	return out
 }

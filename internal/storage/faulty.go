@@ -57,17 +57,22 @@ func (a *faultArm) trip(off, n int64) bool {
 // Faulty wraps a Backend and fails operations on demand, for testing
 // error propagation through the sieving and two-phase I/O paths: by
 // operation count (the n-th next read/write and all later ones) or by
-// file range (any access overlapping a byte range — which is how tests
-// target one IOP's file domain in a collective).  For probabilistic,
-// seeded injection see Chaos.
+// range (any access overlapping a byte range — which is how tests
+// target one IOP's file domain in a collective).  A vectored batch
+// trips on its file span [lo, hi) and counts as one operation; a view
+// transfer trips on view-data offsets, since it has no single file
+// offset.  Registration, epoch control, truncate and sync pass through.
+// For probabilistic, seeded injection see Chaos.
 type Faulty struct {
-	Backend
+	spine
 	reads, writes faultArm
 }
 
 // NewFaulty wraps b with fault injection disabled.
 func NewFaulty(b Backend) *Faulty {
-	return &Faulty{Backend: b}
+	f := &Faulty{}
+	f.spine = spine{in: b, pol: f}
+	return f
 }
 
 // FailReads makes the n-th next read (1-based) and all later reads fail.
@@ -89,18 +94,16 @@ func (f *Faulty) Heal() {
 	f.writes.disarm()
 }
 
-// ReadAt implements io.ReaderAt with fault injection.
-func (f *Faulty) ReadAt(p []byte, off int64) (int, error) {
-	if f.reads.trip(off, int64(len(p))) {
+func (f *Faulty) around(c call) (int64, error) {
+	arm := &f.reads
+	switch {
+	case c.kind.writes():
+		arm = &f.writes
+	case !c.kind.reads():
+		return c.run()
+	}
+	if arm.trip(c.off, c.end-c.off) {
 		return 0, ErrInjected
 	}
-	return f.Backend.ReadAt(p, off)
-}
-
-// WriteAt implements io.WriterAt with fault injection.
-func (f *Faulty) WriteAt(p []byte, off int64) (int, error) {
-	if f.writes.trip(off, int64(len(p))) {
-		return 0, ErrInjected
-	}
-	return f.Backend.WriteAt(p, off)
+	return c.run()
 }

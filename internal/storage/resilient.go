@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -52,10 +53,16 @@ func (c *ResilientConfig) fill() {
 // writes are reissued whole, which is sound because Backend operations
 // are idempotent (positioned reads, positioned full-buffer writes), so a
 // short read or torn write that was reported as a transient error is
-// simply repaired by the successful reissue.  Safe for concurrent use
-// when the wrapped backend is.
+// simply repaired by the successful reissue.  Every call is one retry
+// unit: a vectored batch, a view transfer, a registration, truncate,
+// sync, and the epoch seal, commit and abort (all idempotent against
+// the servers; a reconnect-and-reissue replays the client's stage log
+// first, which is exactly the healing the seal exists to trigger).
+// ErrEpochRetry is not transient and passes straight through to the
+// epoch protocol driver.  Safe for concurrent use when the wrapped
+// backend is.
 type Resilient struct {
-	Backend
+	spine
 	cfg ResilientConfig
 	tr  *trace.Tracer // optional retry-instant recording (see SetTracer)
 
@@ -71,12 +78,13 @@ type Resilient struct {
 // NewResilient wraps b with the given retry policy.
 func NewResilient(b Backend, cfg ResilientConfig) *Resilient {
 	cfg.fill()
-	return &Resilient{
-		Backend: b,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		sleep:   time.Sleep,
+	r := &Resilient{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		sleep: time.Sleep,
 	}
+	r.spine = spine{in: b, pol: r}
+	return r
 }
 
 // RetryStats reports the retries performed and the operations abandoned
@@ -104,24 +112,23 @@ func (r *Resilient) instant(ph trace.Phase, off int64, format string, args ...an
 	r.tr.Instant(ph, off, 0, fmt.Sprintf(format, args...))
 }
 
-// do runs op, retrying transient failures per the policy.  off is the
-// file offset of the operation (trace.NoWindow for whole-file ops),
-// used only to annotate retry instants.
-func (r *Resilient) do(off int64, op func() error) error {
+// around runs c, retrying transient failures per the policy.  c.off
+// (trace.NoWindow for a sync) annotates the retry instants.
+func (r *Resilient) around(c call) (int64, error) {
 	var deadline time.Time
 	if r.cfg.OpDeadline > 0 {
 		deadline = time.Now().Add(r.cfg.OpDeadline)
 	}
 	backoff := r.cfg.BaseBackoff
 	for attempt := 0; ; attempt++ {
-		err := op()
+		n, err := c.run()
 		if err == nil || !IsTransient(err) {
-			return err
+			return n, err
 		}
 		if attempt >= r.cfg.MaxRetries {
 			r.exhausted.Add(1)
-			r.instant(trace.PhaseRetryExhausted, off, "giving up after %d attempts: %v", attempt+1, err)
-			return fmt.Errorf("storage: giving up after %d attempts: %w", attempt+1, err)
+			r.instant(trace.PhaseRetryExhausted, c.off, "giving up after %d attempts: %v", attempt+1, err)
+			return n, fmt.Errorf("storage: giving up after %d attempts: %w", attempt+1, err)
 		}
 		delay := backoff/2 + r.jitter(backoff/2)
 		if backoff < r.cfg.MaxBackoff {
@@ -132,43 +139,32 @@ func (r *Resilient) do(off int64, op func() error) error {
 		}
 		if !deadline.IsZero() && time.Now().Add(delay).After(deadline) {
 			r.exhausted.Add(1)
-			r.instant(trace.PhaseRetryExhausted, off, "deadline %v exceeded after %d attempts: %v",
+			r.instant(trace.PhaseRetryExhausted, c.off, "deadline %v exceeded after %d attempts: %v",
 				r.cfg.OpDeadline, attempt+1, err)
-			return fmt.Errorf("storage: deadline %v exceeded after %d attempts: %w",
+			return n, fmt.Errorf("storage: deadline %v exceeded after %d attempts: %w",
 				r.cfg.OpDeadline, attempt+1, err)
 		}
 		r.retries.Add(1)
-		r.instant(trace.PhaseRetry, off, "attempt %d after %v: %v", attempt+1, delay, err)
+		r.instant(trace.PhaseRetry, c.off, "attempt %d after %v: %v", attempt+1, delay, err)
 		r.sleep(delay)
 	}
 }
 
-// ReadAt implements io.ReaderAt with transient-failure retry.
-func (r *Resilient) ReadAt(p []byte, off int64) (n int, err error) {
-	err = r.do(off, func() error {
-		var e error
-		n, e = r.Backend.ReadAt(p, off)
-		return e
-	})
-	return n, err
-}
+// SetTracer arms a Resilient backend to emit an instant event for every
+// retry and every abandoned operation.  Must be called before the
+// backend is shared across goroutines.
+func (r *Resilient) SetTracer(tr *trace.Tracer) { r.tr = tr }
 
-// WriteAt implements io.WriterAt with transient-failure retry.
-func (r *Resilient) WriteAt(p []byte, off int64) (n int, err error) {
-	err = r.do(off, func() error {
-		var e error
-		n, e = r.Backend.WriteAt(p, off)
-		return e
-	})
-	return n, err
-}
-
-// Truncate implements Backend with transient-failure retry.
-func (r *Resilient) Truncate(size int64) error {
-	return r.do(size, func() error { return r.Backend.Truncate(size) })
-}
-
-// Sync implements Backend with transient-failure retry.
-func (r *Resilient) Sync() error {
-	return r.do(trace.NoWindow, func() error { return r.Backend.Sync() })
+// RegisterMetrics exposes the Resilient wrapper's retry tallies on a
+// registry as gauge functions reading the existing atomics — zero
+// change to the retry hot path.  labels tell several mounts in one
+// process apart.
+func (r *Resilient) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
+	if r == nil || reg == nil {
+		return
+	}
+	reg.GaugeFunc("storage_retries_total", "Transient-failure retries issued by the Resilient wrapper.",
+		func() int64 { return r.retries.Load() }, labels...)
+	reg.GaugeFunc("storage_retries_exhausted_total", "Operations abandoned after exhausting the retry budget.",
+		func() int64 { return r.exhausted.Load() }, labels...)
 }

@@ -171,7 +171,7 @@ func TestThrottledLatencyAccumulates(t *testing.T) {
 
 func TestInstrumented(t *testing.T) {
 	m := NewMem()
-	in := NewInstrumented(m)
+	in := NewObserved(m, nil, nil)
 	in.WriteAt(make([]byte, 100), 0)
 	in.ReadAt(make([]byte, 40), 0)
 	in.ReadAt(make([]byte, 60), 40)

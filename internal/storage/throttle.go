@@ -10,9 +10,13 @@ import (
 // system relative to memory and interconnect (paper §4.2, "file-system
 // and memory performance").  Every operation pays Latency plus
 // size/bandwidth of busy time, accumulated across operations so that
-// sub-resolution costs are not lost.
+// sub-resolution costs are not lost.  A vectored batch or a view
+// transfer pays one Latency plus its total bytes — the cost model under
+// which batching n runs into one call is the win.  Registration, seal,
+// commit and abort are control traffic, charged only the Latency; sync,
+// truncate, and epoch begin and end are free.
 type Throttled struct {
-	Backend
+	spine
 	ReadBW  int64         // bytes per second; 0 = unlimited
 	WriteBW int64         // bytes per second; 0 = unlimited
 	Latency time.Duration // per-operation seek/issue cost
@@ -23,13 +27,15 @@ type Throttled struct {
 // NewThrottled wraps b with the given read/write bandwidths (bytes/s) and
 // per-operation latency.
 func NewThrottled(b Backend, readBW, writeBW int64, latency time.Duration) *Throttled {
-	return &Throttled{Backend: b, ReadBW: readBW, WriteBW: writeBW, Latency: latency}
+	t := &Throttled{ReadBW: readBW, WriteBW: writeBW, Latency: latency}
+	t.spine = spine{in: b, pol: t}
+	return t
 }
 
-func (t *Throttled) charge(n int, bw int64) {
+func (t *Throttled) charge(n, bw int64) {
 	ns := int64(t.Latency)
 	if bw > 0 {
-		ns += int64(n) * int64(time.Second) / bw
+		ns += n * int64(time.Second) / bw
 	}
 	// Accumulate and sleep only when the debt is large enough for the
 	// sleeper to be meaningful; this keeps many small operations honest
@@ -43,78 +49,14 @@ func (t *Throttled) charge(n int, bw int64) {
 	}
 }
 
-// ReadAt implements io.ReaderAt with read-bandwidth charging.
-func (t *Throttled) ReadAt(p []byte, off int64) (int, error) {
-	t.charge(len(p), t.ReadBW)
-	return t.Backend.ReadAt(p, off)
-}
-
-// WriteAt implements io.WriterAt with write-bandwidth charging.
-func (t *Throttled) WriteAt(p []byte, off int64) (int, error) {
-	t.charge(len(p), t.WriteBW)
-	return t.Backend.WriteAt(p, off)
-}
-
-// AccessStats counts backend operations, bytes, and busy time.  The
-// nanosecond totals sum over operations, so with concurrent accesses
-// (the pipelined collective window loop) they can exceed wall time.
-type AccessStats struct {
-	Reads, Writes           int64
-	BytesRead, BytesWritten int64
-	ReadNs, WriteNs         int64
-}
-
-// Instrumented wraps a Backend with operation counting and timing.
-type Instrumented struct {
-	Backend
-	reads, writes           atomic.Int64
-	bytesRead, bytesWritten atomic.Int64
-	readNs, writeNs         atomic.Int64
-}
-
-// NewInstrumented wraps b with access counters.
-func NewInstrumented(b Backend) *Instrumented {
-	return &Instrumented{Backend: b}
-}
-
-// ReadAt implements io.ReaderAt.
-func (in *Instrumented) ReadAt(p []byte, off int64) (int, error) {
-	t0 := time.Now()
-	n, err := in.Backend.ReadAt(p, off)
-	in.readNs.Add(time.Since(t0).Nanoseconds())
-	in.reads.Add(1)
-	in.bytesRead.Add(int64(n))
-	return n, err
-}
-
-// WriteAt implements io.WriterAt.
-func (in *Instrumented) WriteAt(p []byte, off int64) (int, error) {
-	t0 := time.Now()
-	n, err := in.Backend.WriteAt(p, off)
-	in.writeNs.Add(time.Since(t0).Nanoseconds())
-	in.writes.Add(1)
-	in.bytesWritten.Add(int64(n))
-	return n, err
-}
-
-// Stats returns a snapshot of the access counters.
-func (in *Instrumented) Stats() AccessStats {
-	return AccessStats{
-		Reads:        in.reads.Load(),
-		Writes:       in.writes.Load(),
-		BytesRead:    in.bytesRead.Load(),
-		BytesWritten: in.bytesWritten.Load(),
-		ReadNs:       in.readNs.Load(),
-		WriteNs:      in.writeNs.Load(),
+func (t *Throttled) around(c call) (int64, error) {
+	switch {
+	case c.kind.reads():
+		t.charge(c.n, t.ReadBW)
+	case c.kind.writes():
+		t.charge(c.n, t.WriteBW)
+	case c.kind.control():
+		t.charge(0, 0)
 	}
-}
-
-// Reset zeroes the access counters.
-func (in *Instrumented) Reset() {
-	in.reads.Store(0)
-	in.writes.Store(0)
-	in.bytesRead.Store(0)
-	in.bytesWritten.Store(0)
-	in.readNs.Store(0)
-	in.writeNs.Store(0)
+	return c.run()
 }

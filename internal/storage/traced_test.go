@@ -2,18 +2,23 @@ package storage
 
 import (
 	"fmt"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/datatype"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// TestTracedBackendSpans: every Backend operation through a Traced
-// wrapper records a span with the file offset and the bytes actually
-// moved.
+// TestTracedBackendSpans: every observed Backend, vectored, view and
+// epoch call records a span with its window (file offset, view-data
+// offset, truncate length or epoch id) and the bytes actually moved;
+// registration, abort, begin and end record nothing.
 func TestTracedBackendSpans(t *testing.T) {
 	c := trace.NewCollector(64)
-	b := NewTraced(NewMem(), c.Storage())
+	b := NewObserved(&memView{Mem: NewMem()}, c.Storage(), nil)
 
 	if _, err := b.WriteAt([]byte("hello"), 100); err != nil {
 		t.Fatal(err)
@@ -28,11 +33,38 @@ func TestTracedBackendSpans(t *testing.T) {
 	if err := b.Sync(); err != nil {
 		t.Fatal(err)
 	}
-
-	evs := c.Events()
-	if len(evs) != 4 {
-		t.Fatalf("got %d events, want 4: %+v", len(evs), evs)
+	if n, err := b.ReadAt(p, 48); n != 2 || err != io.EOF {
+		t.Fatalf("read across EOF: %d, %v", n, err)
 	}
+	segs := []Segment{{Off: 200, Buf: []byte("ab")}, {Off: 210, Buf: []byte("cde")}}
+	if err := b.WriteAtv(segs); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ReadAtv(segs); err != nil {
+		t.Fatal(err)
+	}
+	h, err := b.RegisterView(0, datatype.Byte)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ViewWrite(h, []byte("xyz"), 300); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ViewRead(h, p[:3], 300); err != nil {
+		t.Fatal(err)
+	}
+	b.EpochBegin(7)
+	if err := b.EpochSeal(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.EpochCommit(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.EpochAbort(8); err != nil {
+		t.Fatal(err)
+	}
+	b.EpochEnd(8)
+
 	want := []struct {
 		ph     trace.Phase
 		window int64
@@ -42,6 +74,17 @@ func TestTracedBackendSpans(t *testing.T) {
 		{trace.PhaseStorageRead, 100, 5},
 		{trace.PhaseStorageTruncate, 50, 0},
 		{trace.PhaseStorageSync, trace.NoWindow, 0},
+		{trace.PhaseStorageRead, 48, 2},
+		{trace.PhaseStorageWrite, 200, 5},
+		{trace.PhaseStorageRead, 200, 5},
+		{trace.PhaseStorageViewWrite, 300, 3},
+		{trace.PhaseStorageViewRead, 300, 3},
+		{trace.PhaseEpochSeal, 7, 0},
+		{trace.PhaseEpochCommit, 7, 0},
+	}
+	evs := c.Events()
+	if len(evs) != len(want) {
+		t.Fatalf("got %d events, want %d: %+v", len(evs), len(want), evs)
 	}
 	for i, w := range want {
 		ev := evs[i]
@@ -52,10 +95,41 @@ func TestTracedBackendSpans(t *testing.T) {
 	}
 }
 
-// TestTracedNilTracerTransparent: a Traced wrapper over a nil tracer
+// TestObservedMetrics: the observer feeds the storage_* metrics of a
+// registry, counting a vectored batch as one call.
+func TestObservedMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	b := NewObserved(NewMem(), nil, reg)
+	if _, err := b.WriteAt([]byte("hello"), 0); err != nil {
+		t.Fatal(err)
+	}
+	segs := []Segment{{Off: 0, Buf: make([]byte, 2)}, {Off: 3, Buf: make([]byte, 2)}}
+	if err := b.ReadAtv(segs); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := reg.WriteProm(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"storage_reads_total 1", "storage_writes_total 1",
+		"storage_read_bytes_total 4", "storage_written_bytes_total 5",
+		"storage_vectored_reads_total 1", "storage_vectored_writes_total 0",
+		"storage_sync_ns_count 1", "storage_vectored_batch_segs_sum 2",
+	} {
+		if !strings.Contains(out.String(), line+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", line, out.String())
+		}
+	}
+}
+
+// TestTracedNilTracerTransparent: an observer over a nil tracer
 // must behave exactly like the bare backend.
 func TestTracedNilTracerTransparent(t *testing.T) {
-	b := NewTraced(NewMem(), nil)
+	b := NewObserved(NewMem(), nil, nil)
 	if _, err := b.WriteAt([]byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // vectoredBackends builds the backends whose vectored paths the matrix
@@ -21,11 +23,11 @@ func vectoredBackends(t *testing.T) map[string]Backend {
 	return map[string]Backend{
 		"mem":          NewMem(),
 		"file":         f,
-		"instrumented": NewInstrumented(NewMem()),
+		"instrumented": NewObserved(NewMem(), nil, obs.NewRegistry()),
 		"throttled":    NewThrottled(NewMem(), 1<<30, 1<<30, 0),
 		"resilient":    NewResilient(NewMem(), ResilientConfig{}),
 		"faulty":       NewFaulty(NewMem()),
-		"traced":       NewTraced(NewMem(), nil),
+		"traced":       NewObserved(NewMem(), nil, nil),
 	}
 }
 
@@ -173,7 +175,7 @@ func TestVectoredEmptyAndZeroLenSegs(t *testing.T) {
 // TestVectoredInstrumentedCountsOneOp: a batch of many segments is one
 // counted operation — the syscall metric the alloc benchmark reports.
 func TestVectoredInstrumentedCountsOneOp(t *testing.T) {
-	in := NewInstrumented(NewMem())
+	in := NewObserved(NewMem(), nil, nil)
 	var segs []Segment
 	for i := 0; i < 16; i++ {
 		segs = append(segs, Segment{Off: int64(i * 100), Buf: []byte{byte(i), byte(i)}})

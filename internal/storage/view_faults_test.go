@@ -3,16 +3,20 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/datatype"
 )
 
-// memView is a minimal ViewBackend for exercising the fault wrappers:
-// data offsets map straight to file offsets (a contiguous "view").
+// memView is a minimal ViewBackend and EpochBackend for exercising the
+// wrappers: data offsets map straight to file offsets (a contiguous
+// "view"), vectored batches are counted and epoch calls are logged.
 type memView struct {
 	*Mem
-	regs int
+	regs   int
+	vec    int      // vectored batches received
+	epochs []string // epoch calls received, in order
 }
 
 func (m *memView) SupportsViews() bool { return true }
@@ -29,6 +33,32 @@ func (m *memView) ViewRead(h ViewHandle, p []byte, d0 int64) error {
 func (m *memView) ViewWrite(h ViewHandle, p []byte, d0 int64) error {
 	_, err := m.Mem.WriteAt(p, d0)
 	return err
+}
+
+func (m *memView) ReadAtv(segs []Segment) error {
+	m.vec++
+	return m.Mem.ReadAtv(segs)
+}
+
+func (m *memView) WriteAtv(segs []Segment) error {
+	m.vec++
+	return m.Mem.WriteAtv(segs)
+}
+
+func (m *memView) SupportsEpochs() bool { return true }
+
+func (m *memView) EpochBegin(id uint64) { m.logEpoch("begin", id) }
+
+func (m *memView) EpochSeal(id uint64) error { m.logEpoch("seal", id); return nil }
+
+func (m *memView) EpochCommit(id uint64) error { m.logEpoch("commit", id); return nil }
+
+func (m *memView) EpochAbort(id uint64) error { m.logEpoch("abort", id); return nil }
+
+func (m *memView) EpochEnd(id uint64) { m.logEpoch("end", id) }
+
+func (m *memView) logEpoch(op string, id uint64) {
+	m.epochs = append(m.epochs, fmt.Sprintf("%s %d", op, id))
 }
 
 func TestChaosViewOpInjection(t *testing.T) {
@@ -57,6 +87,24 @@ func TestChaosViewOpInjection(t *testing.T) {
 	}
 	if st := c.Stats(); st.Transients != 1 || st.Permanents != 1 {
 		t.Fatalf("stats = %+v, want 1 transient + 1 permanent", st)
+	}
+	// Registration and epoch control pass through uninjected.
+	ceb, ok := AsEpochBackend(c)
+	if !ok {
+		t.Fatal("Chaos over an epoch backend must expose epochs")
+	}
+	if err := ceb.EpochSeal(1); err != nil {
+		t.Fatalf("EpochSeal under certain injection: %v", err)
+	}
+
+	// View transfers are all-or-nothing: no short reads or torn writes.
+	whole := NewChaos(1, inner, ChaosConfig{ShortRead: 1, TornWrite: 1})
+	wb, _ := AsViewBackend(whole)
+	if err := wb.ViewWrite(h, seed, 0); err != nil {
+		t.Fatalf("ViewWrite under TornWrite=1: %v", err)
+	}
+	if err := wb.ViewRead(h, buf, 0); err != nil {
+		t.Fatalf("ViewRead under ShortRead=1: %v", err)
 	}
 
 	// No injection: ops pass through byte-exact.

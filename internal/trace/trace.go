@@ -66,7 +66,7 @@ const (
 	PhaseWireSend Phase = "wire.send" // one coalesced flush of queued frames
 	PhaseWireRecv Phase = "wire.recv" // one frame's payload transfer
 
-	// Backend operations (the storage.Traced wrapper).
+	// Backend operations (the storage.Observed wrapper).
 	PhaseStorageRead     Phase = "storage.read"
 	PhaseStorageWrite    Phase = "storage.write"
 	PhaseStorageSync     Phase = "storage.sync"
