@@ -28,9 +28,8 @@ func (f *File) WriteAtAll(off int64, count int64, memtype *datatype.Type, buf []
 	if err := f.transferCollective(off*f.v.esize, d, memtype, count, buf, true); err != nil {
 		return 0, err
 	}
-	f.Stats.BytesWritten += d
-	f.om.collWrites.Inc()
-	f.om.writeBytes.Add(d)
+	f.add(stCollectiveWrites, 1)
+	f.add(stBytesWritten, d)
 	return d, nil
 }
 
@@ -44,9 +43,8 @@ func (f *File) ReadAtAll(off int64, count int64, memtype *datatype.Type, buf []b
 	if err := f.transferCollective(off*f.v.esize, d, memtype, count, buf, false); err != nil {
 		return 0, err
 	}
-	f.Stats.BytesRead += d
-	f.om.collReads.Inc()
-	f.om.readBytes.Add(d)
+	f.add(stCollectiveReads, 1)
+	f.add(stBytesRead, d)
 	return d, nil
 }
 

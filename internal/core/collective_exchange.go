@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // apExchange walks every (IOP, window) pair in the deterministic
 // schedule order and, for each one containing this rank's data, packs
@@ -31,28 +27,20 @@ func (f *File) apExchange(pl *collPlan, d0, d int64, mem *memState, buf []byte, 
 				// returns it to a pool after merging (the zero-copy
 				// AP→IOP path: pack once, no intermediate copies).
 				chunk := f.bp.Get(int(b - a))
-				csp := f.tr.Begin(trace.PhaseCopy, winLo, b-a)
-				t0 := time.Now()
+				ct := f.tr.Start(trace.PhaseCopy, winLo, b-a)
 				f.eng.packUser(chunk, buf, mem, a-d0, b-a)
-				t1 := time.Now()
-				csp.End()
-				esp := f.tr.Begin(trace.PhaseExchange, winLo, b-a)
+				f.add(stCopyNs, ct.Stop())
+				et := f.tr.Start(trace.PhaseExchange, winLo, b-a)
 				f.p.SendNoCopy(i, tagCollData, chunk)
-				esp.End()
-				f.Stats.CopyNs += t1.Sub(t0).Nanoseconds()
-				f.Stats.ExchangeNs += time.Since(t1).Nanoseconds()
+				f.add(stExchangeNs, et.Stop())
 			} else {
-				esp := f.tr.Begin(trace.PhaseExchange, winLo, 0)
-				t0 := time.Now()
+				et := f.tr.Start(trace.PhaseExchange, winLo, 0)
 				chunk, _, _ := f.p.Recv(i, tagCollData)
-				t1 := time.Now()
-				esp.EndBytes(int64(len(chunk)))
-				csp := f.tr.Begin(trace.PhaseCopy, winLo, b-a)
+				f.add(stExchangeNs, et.StopBytes(int64(len(chunk))))
+				ct := f.tr.Start(trace.PhaseCopy, winLo, b-a)
 				f.eng.unpackUser(buf, chunk, mem, a-d0, b-a)
-				csp.End()
+				f.add(stCopyNs, ct.Stop())
 				f.bp.Put(chunk) // this rank owns the received chunk; recycle it
-				f.Stats.ExchangeNs += t1.Sub(t0).Nanoseconds()
-				f.Stats.CopyNs += time.Since(t1).Nanoseconds()
 			}
 		}
 	}

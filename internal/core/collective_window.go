@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -33,7 +31,8 @@ import (
 // their per-window state via iopWindow.release.
 //
 // All Stats fields are updated on the main goroutine only; background
-// I/O durations travel back through the reply tokens.
+// I/O durations, measured by the I/O-track timers, travel back through
+// the reply tokens.
 
 // iopProcess runs this rank's IOP role: engine setup (the list-based
 // engine receives one access list from every AP — this must happen even
@@ -73,20 +72,13 @@ func (f *File) iopExchangeWrite(iw iopWindow, w []byte, winLo int64) {
 		if iw.chunkLen(r) == 0 {
 			continue
 		}
-		esp := f.tr.Begin(trace.PhaseExchange, winLo, 0)
-		t0 := time.Now()
+		et := f.tr.Start(trace.PhaseExchange, winLo, 0)
 		chunk, _, _ := f.p.Recv(r, tagCollData)
-		t1 := time.Now()
-		esp.EndBytes(int64(len(chunk)))
-		csp := f.tr.Begin(trace.PhaseCopy, winLo, int64(len(chunk)))
+		f.add(stExchangeNs, et.StopBytes(int64(len(chunk))))
+		ct := f.tr.Start(trace.PhaseCopy, winLo, int64(len(chunk)))
 		iw.copyIn(w, r, chunk)
-		csp.End()
+		f.add(stCopyNs, ct.Stop())
 		f.bp.Put(chunk)
-		en, cn := t1.Sub(t0).Nanoseconds(), time.Since(t1).Nanoseconds()
-		f.Stats.ExchangeNs += en
-		f.Stats.CopyNs += cn
-		f.om.exchangeNs.Add(en)
-		f.om.copyNs.Add(cn)
 	}
 }
 
@@ -100,20 +92,13 @@ func (f *File) iopExchangeRead(iw iopWindow, w []byte, winLo int64) {
 		if n == 0 {
 			continue
 		}
-		csp := f.tr.Begin(trace.PhaseCopy, winLo, n)
-		t0 := time.Now()
+		ct := f.tr.Start(trace.PhaseCopy, winLo, n)
 		chunk := f.bp.Get(int(n))
 		iw.copyOut(w, r, chunk)
-		t1 := time.Now()
-		csp.End()
-		esp := f.tr.Begin(trace.PhaseExchange, winLo, n)
+		f.add(stCopyNs, ct.Stop())
+		et := f.tr.Start(trace.PhaseExchange, winLo, n)
 		f.p.SendNoCopy(r, tagCollData, chunk)
-		esp.End()
-		cn, en := t1.Sub(t0).Nanoseconds(), time.Since(t1).Nanoseconds()
-		f.Stats.CopyNs += cn
-		f.Stats.ExchangeNs += en
-		f.om.copyNs.Add(cn)
-		f.om.exchangeNs.Add(en)
+		f.add(stExchangeNs, et.Stop())
 	}
 }
 
@@ -133,16 +118,11 @@ func (f *File) iopSequential(iop iopState, domLo, domHi, winSize int64, write bo
 		if write {
 			covered := !f.opts.DisableMergeCheck && iw.covered()
 			if covered {
-				f.Stats.PreReadsSkipped++
-				f.om.preSkipped.Inc()
+				f.add(stPreReadsSkipped, 1)
 			} else {
-				rsp := f.tr.Begin(trace.PhasePreRead, winLo, int64(len(w)))
-				t0 := time.Now()
+				rt := f.tr.Start(trace.PhasePreRead, winLo, int64(len(w)))
 				err := storage.ReadFull(f.sh.b, w, winLo)
-				rsp.End()
-				sn := time.Since(t0).Nanoseconds()
-				f.Stats.StorageNs += sn
-				f.om.storageNs.Add(sn)
+				f.add(stStorageNs, rt.Stop())
 				if err != nil {
 					wsp.End()
 					iw.release()
@@ -150,46 +130,37 @@ func (f *File) iopSequential(iop iopState, domLo, domHi, winSize int64, write bo
 				}
 			}
 			f.iopExchangeWrite(iw, w, winLo)
-			bsp := f.tr.Begin(trace.PhaseWriteBack, winLo, int64(len(w)))
-			t0 := time.Now()
+			bt := f.tr.Start(trace.PhaseWriteBack, winLo, int64(len(w)))
 			_, err := f.sh.b.WriteAt(w, winLo)
-			bsp.End()
-			sn := time.Since(t0).Nanoseconds()
-			f.Stats.StorageNs += sn
-			f.om.storageNs.Add(sn)
+			f.add(stStorageNs, bt.Stop())
 			if err != nil {
 				wsp.End()
 				iw.release()
 				return err
 			}
-			f.Stats.SieveWrites++
-			f.om.sieveWrites.Inc()
+			f.add(stSieveWrites, 1)
 		} else {
-			rsp := f.tr.Begin(trace.PhasePreRead, winLo, int64(len(w)))
-			t0 := time.Now()
+			rt := f.tr.Start(trace.PhasePreRead, winLo, int64(len(w)))
 			err := storage.ReadFull(f.sh.b, w, winLo)
-			rsp.End()
-			sn := time.Since(t0).Nanoseconds()
-			f.Stats.StorageNs += sn
-			f.om.storageNs.Add(sn)
+			f.add(stStorageNs, rt.Stop())
 			if err != nil {
 				wsp.End()
 				iw.release()
 				return err
 			}
-			f.Stats.SieveReads++
-			f.om.sieveReads.Inc()
+			f.add(stSieveReads, 1)
 			f.iopExchangeRead(iw, w, winLo)
 		}
 		wsp.End()
-		f.om.windows.Inc()
+		f.add(stWindows, 1)
 		iw.release()
 	}
 	return nil
 }
 
 // ioToken carries the result of background storage access through the
-// pipeline's channels: its error and its duration.
+// pipeline's channels: its error and its duration, which the main
+// goroutine charges to StorageNs.
 type ioToken struct {
 	err error
 	ns  int64
@@ -229,11 +200,9 @@ func (f *File) slotWorker(s *pipeSlot) {
 	for r := range s.req {
 		switch r.kind {
 		case pipeWrite:
-			bsp := f.tr.BeginIO(trace.PhaseWriteBack, r.lo, r.hi-r.lo)
-			t0 := time.Now()
+			bt := f.tr.StartIO(trace.PhaseWriteBack, r.lo, r.hi-r.lo)
 			_, err := f.sh.b.WriteAt(s.buf[:r.hi-r.lo], r.lo)
-			bsp.End()
-			carry.ns += time.Since(t0).Nanoseconds()
+			carry.ns += bt.Stop()
 			if carry.err == nil {
 				carry.err = err
 			}
@@ -241,12 +210,9 @@ func (f *File) slotWorker(s *pipeSlot) {
 			t := carry
 			carry = ioToken{}
 			if t.err == nil && r.read {
-				rsp := f.tr.BeginIO(trace.PhasePreRead, r.lo, r.hi-r.lo)
-				t0 := time.Now()
-				err := storage.ReadFull(f.sh.b, s.buf[:r.hi-r.lo], r.lo)
-				rsp.End()
-				t.err = err
-				t.ns += time.Since(t0).Nanoseconds()
+				rt := f.tr.StartIO(trace.PhasePreRead, r.lo, r.hi-r.lo)
+				t.err = storage.ReadFull(f.sh.b, s.buf[:r.hi-r.lo], r.lo)
+				t.ns += rt.Stop()
 			}
 			s.done <- t
 		}
@@ -315,15 +281,13 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 		// the overlap.
 		nxt, nok := mk()
 		if nok {
-			f.Stats.WindowsOverlapped++
-			f.om.overlapped.Inc()
+			f.add(stWindowsOverlapped, 1)
 		}
 
 		psp := f.tr.Begin(trace.PhasePipelineWait, cur.lo, 0)
 		t := <-cur.slot.done
 		psp.End()
-		f.Stats.StorageNs += t.ns
-		f.om.storageNs.Add(t.ns)
+		f.add(stStorageNs, t.ns)
 		if t.err != nil {
 			// Unwind quiescently: consume nxt's prep reply if one was
 			// issued (its slot's prior write-back folds into it), then
@@ -332,9 +296,7 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 			// collective on the file.
 			err = t.err
 			if nok {
-				t2 := <-nxt.slot.done
-				f.Stats.StorageNs += t2.ns
-				f.om.storageNs.Add(t2.ns)
+				f.add(stStorageNs, (<-nxt.slot.done).ns)
 				nxt.iw.release()
 			}
 			cur.iw.release()
@@ -345,20 +307,17 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 		wsp := f.tr.Begin(trace.PhaseWindow, cur.lo, cur.iw.total())
 		if write {
 			if cur.covered {
-				f.Stats.PreReadsSkipped++
-				f.om.preSkipped.Inc()
+				f.add(stPreReadsSkipped, 1)
 			}
 			f.iopExchangeWrite(cur.iw, w, cur.lo)
-			f.Stats.SieveWrites++
-			f.om.sieveWrites.Inc()
+			f.add(stSieveWrites, 1)
 			cur.slot.req <- pipeReq{lo: cur.lo, hi: cur.hi, kind: pipeWrite}
 		} else {
-			f.Stats.SieveReads++
-			f.om.sieveReads.Inc()
+			f.add(stSieveReads, 1)
 			f.iopExchangeRead(cur.iw, w, cur.lo)
 		}
 		wsp.End()
-		f.om.windows.Inc()
+		f.add(stWindows, 1)
 		cur.iw.release()
 		cur, ok = nxt, nok
 	}
@@ -371,8 +330,7 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 	}
 	for _, s := range slots {
 		t := <-s.fin
-		f.Stats.StorageNs += t.ns
-		f.om.storageNs.Add(t.ns)
+		f.add(stStorageNs, t.ns)
 		if t.err != nil && err == nil {
 			err = t.err
 		}

@@ -151,64 +151,6 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats counts the work a file handle performed, separating the
-// overheads the paper attributes to list-based I/O.
-type Stats struct {
-	// ListTuples is the number of ol-list tuples built (flattening,
-	// per-access memtype lists, per-IOP access lists, window sub-lists).
-	ListTuples int64
-	// ListBytesSent is the ol-list exchange volume of collective
-	// accesses (16 bytes per tuple).
-	ListBytesSent int64
-	// ViewBytesSent is the compact-fileview exchange volume of the
-	// listless engine (once per SetView, or per access when caching is
-	// disabled).
-	ViewBytesSent int64
-	// SieveReads / SieveWrites count file-buffer windows processed.
-	SieveReads, SieveWrites int64
-	// PreReadsSkipped counts collective write windows whose pre-read
-	// was skipped because the combined fileviews covered them.
-	PreReadsSkipped int64
-	// DirectReads / DirectWrites count per-block direct backend
-	// accesses taken by the sparse-access heuristic (SieveDensity).
-	// With vectored I/O enabled they still count logical per-run
-	// accesses; VectoredReads / VectoredWrites count the batched
-	// backend calls that actually carried them.
-	DirectReads, DirectWrites int64
-	// VectoredReads / VectoredWrites count ReadAtv/WriteAtv batches
-	// issued by the direct-access path.
-	VectoredReads, VectoredWrites int64
-	// ViewRegistrations counts fileviews registered with a
-	// view-capable backend (the remote I/O-server tier); ViewReads /
-	// ViewWrites count the view-addressed transfers that replaced
-	// offset lists on the direct path.
-	ViewRegistrations, ViewReads, ViewWrites int64
-	// BytesRead / BytesWritten are user-data volumes moved.
-	BytesRead, BytesWritten int64
-
-	// Per-phase collective timing, in nanoseconds, separating where
-	// two-phase time goes on this rank: ExchangeNs is AP↔IOP data
-	// send/receive, StorageNs is backend window I/O (pre-reads and
-	// write-backs, whether sequential or overlapped), CopyNs is
-	// pack/unpack and window copying.
-	ExchangeNs, StorageNs, CopyNs int64
-	// WindowsOverlapped counts collective windows whose storage I/O
-	// (pre-read or write-back) proceeded concurrently with the exchange
-	// or copy work of a neighboring window in the pipelined window
-	// loop.
-	WindowsOverlapped int64
-
-	// EpochsCommitted counts collective writes committed through the
-	// epoch crash-consistency protocol; EpochRetries counts seal or
-	// commit rounds that were retried after a server bounce.
-	EpochsCommitted, EpochRetries int64
-
-	// ProgramCompiles counts datatype copy programs this handle had to
-	// compile (process-wide memo-cache misses); ProgramCacheHits counts
-	// lookups satisfied by the cache.
-	ProgramCompiles, ProgramCacheHits int64
-}
-
 // Shared is the per-world state of one file: the storage backend plus
 // the byte-range lock table used by independent data-sieving writes.
 // Every rank passes the same *Shared to Open.
@@ -298,10 +240,10 @@ type File struct {
 
 	// Stats accumulates the work counters of this handle.
 	Stats Stats
-	// om holds this handle's live metric handles (all nil with
-	// Options.Metrics unset — every site no-ops through the nil
+	// ctr holds the core_* metric of each Stats field (all nil with
+	// Options.Metrics unset — every update no-ops through the nil
 	// receivers).
-	om fileMetrics
+	ctr [numStats]*obs.Counter
 }
 
 // Open opens the shared backend collectively and installs the trivial
@@ -316,7 +258,7 @@ func Open(p *mpi.Proc, sh *Shared, opts Options) (*File, error) {
 		sh:   sh,
 		opts: opts,
 		tr:   opts.Trace.Tracer(p.Rank()),
-		om:   newFileMetrics(opts.Metrics),
+		ctr:  statCounters(opts.Metrics),
 	}
 	registerProgramCacheMetrics(opts.Metrics)
 	if !opts.DisablePool {
@@ -390,7 +332,7 @@ func (f *File) SetView(disp int64, etype, filetype *datatype.Type) error {
 			return err
 		}
 		f.viewBE, f.viewHandle = vb, h
-		f.Stats.ViewRegistrations++
+		f.add(stViewRegistrations, 1)
 	}
 	return f.eng.setView()
 }

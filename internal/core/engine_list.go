@@ -30,7 +30,7 @@ func (e *listEngine) setView() error {
 	if !ok {
 		l = flatten.Flatten(f.v.ftype)
 		e.cache[f.v.ftype] = l
-		f.Stats.ListTuples += int64(len(l))
+		f.add(stListTuples, int64(len(l)))
 	}
 	e.flat = &flatten.View{
 		Disp:   f.v.disp,
@@ -78,7 +78,7 @@ func (e *listEngine) newMemState(memtype *datatype.Type, count int64) *memState 
 	} else {
 		ms.list = flatten.Flatten(memtype)
 		ms.ext = memtype.Extent()
-		e.f.Stats.ListTuples += int64(len(ms.list))
+		e.f.add(stListTuples, int64(len(ms.list)))
 	}
 	return ms
 }
@@ -154,7 +154,7 @@ func (e *listEngine) buildAPTriples(domLo, domHi, d0, d int64) []apTriple {
 		}
 		out = append(out, apTriple{fileOff: fileOff, dataOff: a, len: b - a})
 	})
-	e.f.Stats.ListTuples += int64(len(out))
+	e.f.add(stListTuples, int64(len(out)))
 	return out
 }
 
@@ -252,7 +252,7 @@ func (e *listEngine) apSetup(pl *collPlan, d0, d int64) apState {
 			st.triples[i] = e.buildAPTriples(domLo, domHi, d0, d)
 		}
 		payload := encodeTuples(st.triples[i])
-		f.Stats.ListBytesSent += int64(len(payload))
+		f.add(stListBytesSent, int64(len(payload)))
 		f.p.SendNoCopy(i, tagCollList, payload)
 	}
 	return st
@@ -334,7 +334,7 @@ func (s *listIOPState) window(winLo, winHi int64) iopWindow {
 	}
 	for r := 0; r < P; r++ {
 		w.subs[r] = s.cursors[r].sliceUpTo(winHi)
-		s.f.Stats.ListTuples += int64(len(w.subs[r]))
+		s.f.add(stListTuples, int64(len(w.subs[r])))
 		var n int64
 		for _, seg := range w.subs[r] {
 			n += seg.Len

@@ -58,7 +58,7 @@ func (e *listlessEngine) setView() error {
 func (e *listlessEngine) exchangeViews() {
 	f := e.f
 	payload := e.encodedView()
-	f.Stats.ViewBytesSent += int64(len(payload)) // accounted once per SetView
+	f.add(stViewBytesSent, int64(len(payload))) // accounted once per SetView
 	parts := f.p.Allgather(payload)
 	e.remote = make([]remoteView, f.p.Size())
 	for r, part := range parts {

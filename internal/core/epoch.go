@@ -63,7 +63,7 @@ func (f *File) epochBegin() uint64 {
 // mode.  All ranks of a failed collective take this path, so the staged
 // state cannot be committed later by accident.
 func (f *File) epochAbandon(id uint64) {
-	f.om.epochAborts.Inc()
+	f.add(stEpochAborts, 1)
 	if f.p.Rank() == 0 {
 		f.epochBE.EpochAbort(id)
 	} else {
@@ -92,8 +92,7 @@ func (f *File) epochFinish(id uint64) error {
 			if attempt < maxEpochAttempts {
 				// Typically a server still restarting: re-seal, which
 				// reconnects and replays the stage log.
-				f.Stats.EpochRetries++
-				f.om.epochRetries.Inc()
+				f.add(stEpochRetries, 1)
 				f.tr.Instant(trace.PhaseEpochRetry, int64(id), 0, "re-seal")
 				continue
 			}
@@ -149,12 +148,10 @@ func (f *File) epochFinish(id uint64) error {
 		switch payload[0] {
 		case epochOutcomeOK:
 			f.epochBE.EpochEnd(id)
-			f.Stats.EpochsCommitted++
-			f.om.epochsCommitted.Inc()
+			f.add(stEpochsCommitted, 1)
 			return nil
 		case epochOutcomeRetry:
-			f.Stats.EpochRetries++
-			f.om.epochRetries.Inc()
+			f.add(stEpochRetries, 1)
 			f.tr.Instant(trace.PhaseEpochRetry, int64(id), 0, "re-commit")
 			continue
 		default:

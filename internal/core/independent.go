@@ -25,7 +25,7 @@ func (f *File) WriteAt(off int64, count int64, memtype *datatype.Type, buf []byt
 	if err := f.transferIndependent(off*f.v.esize, d, memtype, count, buf, true); err != nil {
 		return 0, err
 	}
-	f.Stats.BytesWritten += d
+	f.add(stBytesWritten, d)
 	return d, nil
 }
 
@@ -40,7 +40,7 @@ func (f *File) ReadAt(off int64, count int64, memtype *datatype.Type, buf []byte
 	if err := f.transferIndependent(off*f.v.esize, d, memtype, count, buf, false); err != nil {
 		return 0, err
 	}
-	f.Stats.BytesRead += d
+	f.add(stBytesRead, d)
 	return d, nil
 }
 
@@ -187,14 +187,14 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 			}
 			unlock()
 			ssp.End()
-			f.Stats.SieveWrites++
+			f.add(stSieveWrites, 1)
 		} else {
 			ssp := f.tr.Begin(trace.PhaseSieveRead, winLo, n)
 			if err := storage.ReadFull(f.sh.b, w, winLo); err != nil {
 				ssp.End()
 				return err
 			}
-			f.Stats.SieveReads++
+			f.add(stSieveReads, 1)
 			if err := f.moveWindow(w, winLo, dw, n, buf, mem, memContig, d0, pb, false, vc); err != nil {
 				ssp.End()
 				return err
@@ -288,10 +288,10 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 			// its side.
 			if write {
 				ioErr = f.viewBE.ViewWrite(f.viewHandle, cb, d0+m)
-				f.Stats.ViewWrites++
+				f.add(stViewWrites, 1)
 			} else {
 				ioErr = f.viewBE.ViewRead(f.viewHandle, cb, d0+m)
-				f.Stats.ViewReads++
+				f.add(stViewReads, 1)
 			}
 			if ioErr == nil && !memContig && !write {
 				f.eng.unpackUser(buf, cb, mem, m, c)
@@ -305,9 +305,9 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 			}
 			piece := cb[dataOff-(d0+m) : dataOff-(d0+m)+ln]
 			if write {
-				f.Stats.DirectWrites++
+				f.add(stDirectWrites, 1)
 			} else {
-				f.Stats.DirectReads++
+				f.add(stDirectReads, 1)
 			}
 			if !f.opts.DisableVectored {
 				segs = append(segs, storage.Segment{Off: fileOff, Buf: piece})
@@ -322,10 +322,10 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 		if ioErr == nil && len(segs) > 0 {
 			if write {
 				ioErr = storage.WriteAtv(f.sh.b, segs)
-				f.Stats.VectoredWrites++
+				f.add(stVectoredWrites, 1)
 			} else {
 				ioErr = storage.ReadAtv(f.sh.b, segs)
-				f.Stats.VectoredReads++
+				f.add(stVectoredReads, 1)
 			}
 		}
 		if ioErr == nil && !memContig && !write {

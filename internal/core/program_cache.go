@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
+	"repro/internal/obs"
 )
 
 // The compiled-program memo cache.  A fileview's copy program depends
@@ -100,6 +101,22 @@ func (pc *programCache) size() int64 {
 	return int64(pc.lru.Len())
 }
 
+// registerProgramCacheMetrics exposes the process-wide program cache on
+// a registry as gauges reading the cache's own atomics — zero cost on
+// the compile/lookup path.  Registration is idempotent per registry
+// (obs dedupes by name), so every Open may call it.
+func registerProgramCacheMetrics(r *obs.Registry) {
+	if r == nil {
+		return
+	}
+	r.GaugeFunc("core_program_cache_size", "Compiled datatype programs resident in the memo cache.",
+		programs.size)
+	r.GaugeFunc("core_program_cache_evictions_total", "Programs evicted from the memo cache LRU.",
+		programs.evictions.Load)
+	r.GaugeFunc("core_program_compile_ns_total", "Nanoseconds spent compiling datatype programs.",
+		programs.compileNs.Load)
+}
+
 // lookupProgram is the handle-side entry point: it memoizes the
 // compiled program for t, accounting the hit or compile on this
 // handle's Stats and metrics.  It returns nil — and the caller falls
@@ -112,11 +129,9 @@ func (f *File) lookupProgram(enc []byte, t *datatype.Type) *fotf.Program {
 	}
 	p, hit := programs.lookup(enc, t)
 	if hit {
-		f.Stats.ProgramCacheHits++
-		f.om.progHits.Inc()
+		f.add(stProgramCacheHits, 1)
 	} else {
-		f.Stats.ProgramCompiles++
-		f.om.progCompiles.Inc()
+		f.add(stProgramCompiles, 1)
 	}
 	return p
 }

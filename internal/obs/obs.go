@@ -79,19 +79,21 @@ type Gauge struct {
 	help   string
 	labels []Label
 	v      atomic.Int64
-	fn     func() int64
+	// fn is atomic because every rank of an in-process world registers
+	// the same GaugeFunc concurrently, and a scrape may read it meanwhile.
+	fn atomic.Pointer[func() int64]
 }
 
 // Set replaces the value (no-op for GaugeFunc gauges and on nil).
 func (g *Gauge) Set(v int64) {
-	if g != nil && g.fn == nil {
+	if g != nil && g.fn.Load() == nil {
 		g.v.Store(v)
 	}
 }
 
 // Add adjusts the value by n (no-op for GaugeFunc gauges and on nil).
 func (g *Gauge) Add(n int64) {
-	if g != nil && g.fn == nil {
+	if g != nil && g.fn.Load() == nil {
 		g.v.Add(n)
 	}
 }
@@ -101,8 +103,8 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	if g.fn != nil {
-		return g.fn()
+	if fn := g.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return g.v.Load()
 }
@@ -229,7 +231,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) *Gauge {
 	g := r.Gauge(name, help, labels...)
 	if g != nil {
-		g.fn = fn
+		g.fn.Store(&fn)
 	}
 	return g
 }

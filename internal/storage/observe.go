@@ -2,7 +2,6 @@ package storage
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -100,11 +99,9 @@ func (o *Observed) around(c call) (int64, error) {
 	if !ok {
 		return c.run()
 	}
-	sp := o.tr.Begin(ph, c.off, c.n)
-	t0 := time.Now()
+	tm := o.tr.Start(ph, c.off, c.n)
 	n, err := c.run()
-	ns := time.Since(t0).Nanoseconds()
-	sp.EndBytes(n)
+	ns := tm.StopBytes(n)
 	switch {
 	case c.kind.reads():
 		o.reads.Add(1)

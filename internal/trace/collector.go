@@ -121,41 +121,32 @@ func (c *Collector) Summary() string {
 	if c == nil {
 		return ""
 	}
-	type rankTotals struct {
-		rank   int
-		totals map[Phase]int64
-		counts map[Phase]int64
-	}
-	var rts []rankTotals
+	// World totals per phase, from each rank's phase histograms
+	// (ring-proof: histograms keep every observation after the ring
+	// wraps).
 	var nRanks int
+	worldNs := make(map[Phase]int64)
+	worldCount := make(map[Phase]int64)
+	maxNs := make(map[Phase]int64)
+	maxRank := make(map[Phase]int)
 	for _, r := range c.ranks() {
 		if r == RankStorage {
 			continue
 		}
 		nRanks++
-		totals, counts := c.Tracer(r).phaseTotals()
-		rts = append(rts, rankTotals{rank: r, totals: totals, counts: counts})
-	}
-	merged := c.MergedMetrics()
-
-	// World totals per phase, from the per-rank totals (ring-proof:
-	// totals accumulate even after the ring wraps).
-	worldNs := make(map[Phase]int64)
-	worldCount := make(map[Phase]int64)
-	maxNs := make(map[Phase]int64)
-	maxRank := make(map[Phase]int)
-	for _, rt := range rts {
-		for ph, ns := range rt.totals {
+		m := c.Tracer(r).Metrics()
+		for _, ph := range m.Phases() {
+			h := m.Hist(ph)
+			ns := h.Sum()
 			worldNs[ph] += ns
+			worldCount[ph] += h.Count()
 			if ns > maxNs[ph] {
 				maxNs[ph] = ns
-				maxRank[ph] = rt.rank
+				maxRank[ph] = r
 			}
 		}
-		for ph, n := range rt.counts {
-			worldCount[ph] += n
-		}
 	}
+	merged := c.MergedMetrics()
 	phases := make([]Phase, 0, len(worldNs))
 	for ph := range worldNs {
 		phases = append(phases, ph)

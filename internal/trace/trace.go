@@ -14,10 +14,13 @@
 // its blocking waits, and internal/storage marks backend operations,
 // injected faults, and retries.
 //
-// Cost model: a disabled tracer is a nil pointer, so every
-// instrumentation site costs one nil check and nothing else.  An
-// enabled span costs two monotonic clock reads, one short mutex
-// critical section, and one ring-slot store — no allocation.  Memory is
+// Cost model: a disabled tracer is a nil pointer, so every span-only
+// site costs one nil check and nothing else.  An enabled span costs two
+// monotonic clock reads, one short mutex critical section, and one
+// ring-slot store — no allocation.  A Timer is the single
+// instrumentation point of a phase whose time the caller also counts:
+// its two clock reads feed both the span and the caller's counter, and
+// with tracing off it still measures but records nothing.  Memory is
 // bounded by the ring (BufSize events per rank); when the ring wraps,
 // the oldest events are dropped and counted.
 package trace
@@ -210,19 +213,10 @@ type Tracer struct {
 	n      uint64 // events ever recorded
 	cur    Event  // last span begun (possibly unfinished)
 	curSet bool
-	totals map[Phase]int64 // per-phase span ns (for imbalance)
-	counts map[Phase]int64 // per-phase span/instant counts
 }
 
 func newTracer(rank, bufSize int, clock func() int64) *Tracer {
-	return &Tracer{
-		rank:    rank,
-		clock:   clock,
-		metrics: NewMetrics(),
-		buf:     make([]Event, bufSize),
-		totals:  make(map[Phase]int64),
-		counts:  make(map[Phase]int64),
-	}
+	return &Tracer{rank: rank, clock: clock, metrics: NewMetrics(), buf: make([]Event, bufSize)}
 }
 
 // Enabled reports whether the tracer records anything.  Use it to guard
@@ -283,26 +277,68 @@ func (t *Tracer) begin(track int, ph Phase, window, bytes int64) Span {
 
 // End completes the span, recording it into the ring and observing its
 // duration in the phase histogram.
-func (s Span) End() { s.EndBytes(s.bytes) }
+func (s Span) End() { s.end(s.bytes) }
 
 // EndBytes is End with the payload volume learned during the span (a
 // Recv's message size).
-func (s Span) EndBytes(bytes int64) {
+func (s Span) EndBytes(bytes int64) { s.end(bytes) }
+
+// end records the span and returns its duration (0 when disabled).
+func (s Span) end(bytes int64) int64 {
 	t := s.t
 	if t == nil {
-		return
+		return 0
 	}
 	dur := t.clock() - s.start
 	t.mu.Lock()
 	t.record(Event{Rank: t.rank, Track: s.track, Kind: KindSpan, Phase: s.phase,
 		Window: s.window, Bytes: bytes, Start: s.start, Dur: dur})
-	t.totals[s.phase] += dur
-	t.counts[s.phase]++
 	if t.curSet && t.cur.Start == s.start && t.cur.Phase == s.phase && t.cur.Track == s.track {
 		t.cur.Dur = dur // the in-flight marker is now finished
 	}
 	t.mu.Unlock()
 	t.metrics.Observe(s.phase, dur)
+	return dur
+}
+
+// Timer is a span whose duration the caller also counts: Stop returns
+// the elapsed ns that the span records, from the same two clock reads.
+// On a disabled tracer it still measures (against a process-wide
+// monotonic clock) but records nothing.
+type Timer struct{ s Span }
+
+// monoEpoch anchors the clock of timers started on a nil tracer.
+var monoEpoch = time.Now()
+
+func monotonic() int64 { return int64(time.Since(monoEpoch)) }
+
+// Start begins a timed span on the rank's main track (see Begin).
+func (t *Tracer) Start(ph Phase, window, bytes int64) Timer {
+	return t.start(TrackMain, ph, window, bytes)
+}
+
+// StartIO begins a timed span on the rank's background-I/O track (see
+// BeginIO).
+func (t *Tracer) StartIO(ph Phase, window, bytes int64) Timer {
+	return t.start(TrackIO, ph, window, bytes)
+}
+
+func (t *Tracer) start(track int, ph Phase, window, bytes int64) Timer {
+	if t == nil {
+		return Timer{Span{start: monotonic()}}
+	}
+	return Timer{t.begin(track, ph, window, bytes)}
+}
+
+// Stop ends the timed span and returns its duration in ns.
+func (tm Timer) Stop() int64 { return tm.StopBytes(tm.s.bytes) }
+
+// StopBytes is Stop with the payload volume learned during the span.
+func (tm Timer) StopBytes(bytes int64) int64 {
+	if tm.s.t == nil {
+		return monotonic() - tm.s.start
+	}
+	return tm.s.end(bytes)
 }
 
 // Instant records a point event (a posted message, an injected fault, a
@@ -315,7 +351,6 @@ func (t *Tracer) Instant(ph Phase, window, bytes int64, detail string) {
 	t.mu.Lock()
 	t.record(Event{Rank: t.rank, Track: TrackMain, Kind: KindInstant, Phase: ph,
 		Window: window, Bytes: bytes, Start: ts, Detail: detail})
-	t.counts[ph]++
 	t.mu.Unlock()
 }
 
@@ -385,19 +420,4 @@ func (t *Tracer) Metrics() *Metrics {
 		return nil
 	}
 	return t.metrics
-}
-
-// phaseTotals copies the per-phase span-duration and count maps.
-func (t *Tracer) phaseTotals() (totals, counts map[Phase]int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	totals = make(map[Phase]int64, len(t.totals))
-	for ph, ns := range t.totals {
-		totals[ph] = ns
-	}
-	counts = make(map[Phase]int64, len(t.counts))
-	for ph, c := range t.counts {
-		counts[ph] = c
-	}
-	return totals, counts
 }

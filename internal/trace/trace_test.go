@@ -111,9 +111,53 @@ func TestRingWrapDropsOldest(t *testing.T) {
 		t.Fatalf("Recent(2) = %+v", last2)
 	}
 	// Totals survive the wrap.
-	totals, counts := tr.phaseTotals()
-	if counts[PhaseCopy] != 10 || totals[PhaseCopy] != 10 {
-		t.Fatalf("totals = %v counts = %v", totals, counts)
+	h := tr.Metrics().Hist(PhaseCopy)
+	if h.Count() != 10 || h.Sum() != 10 {
+		t.Fatalf("total = %d count = %d, want 10 and 10", h.Sum(), h.Count())
+	}
+}
+
+// TestSummaryTotalsSurviveRingWrap wraps an 8-slot ring and checks the
+// summary still reports every span recorded, not just the buffered ones.
+func TestSummaryTotalsSurviveRingWrap(t *testing.T) {
+	var now int64
+	c := testCollector(8, 0)
+	c.clock = func() int64 { return now }
+	var want int64
+	for i := int64(1); i <= 20; i++ {
+		tm := c.Tracer(0).Start(PhaseCopy, i, 0)
+		now += i * 1000
+		if got := tm.Stop(); got != i*1000 {
+			t.Fatalf("span %d: Stop = %d, want %d", i, got, i*1000)
+		}
+		want += i * 1000
+	}
+	if d := c.Dropped(); d != 12 {
+		t.Fatalf("dropped = %d, want 12", d)
+	}
+	got := c.Summary()
+	// 20 spans of 1..20 µs: 210µs over 20 spans.
+	if want != 210000 || !strings.Contains(got, "210µs") || !strings.Contains(got, "       20 ") {
+		t.Fatalf("summary does not report all 20 spans (210µs):\n%s", got)
+	}
+}
+
+// TestTimerFeedsSpanAndCaller: a timer's Stop returns exactly the
+// duration its span records, and a nil tracer's timer still measures.
+func TestTimerFeedsSpanAndCaller(t *testing.T) {
+	c := testCollector(4, 250)
+	tr := c.Tracer(0)
+	if ns := tr.StartIO(PhasePreRead, 0, 8).StopBytes(16); ns != 250 {
+		t.Fatalf("Stop = %d, want 250", ns)
+	}
+	evs := tr.Events()
+	if len(evs) != 1 || evs[0].Dur != 250 || evs[0].Bytes != 16 || evs[0].Track != TrackIO {
+		t.Fatalf("events = %+v", evs)
+	}
+	var off *Tracer
+	tm := off.Start(PhaseCopy, 0, 0)
+	if ns := tm.Stop(); ns < 0 {
+		t.Fatalf("nil-tracer timer returned %d", ns)
 	}
 }
 
@@ -157,9 +201,12 @@ func TestConcurrentRecording(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	_, counts := tr.phaseTotals()
-	if counts[PhasePreRead] != 400 || counts[PhaseExchange] != 400 || counts[PhaseMPISend] != 400 {
-		t.Fatalf("counts = %v", counts)
+	m := tr.Metrics()
+	pre, exch := m.Hist(PhasePreRead).Count(), m.Hist(PhaseExchange).Count()
+	// Every event recorded, spans and instants: 400 of each phase.
+	events := int64(len(tr.Events())) + tr.Dropped()
+	if pre != 400 || exch != 400 || events != 1200 {
+		t.Fatalf("pre-read spans = %d, exchange spans = %d, events = %d", pre, exch, events)
 	}
 }
 
