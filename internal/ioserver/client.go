@@ -1,6 +1,7 @@
 package ioserver
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -40,9 +41,10 @@ type Client struct {
 	mu       sync.Mutex
 	fc       *transport.FrameConn
 	seq      int
-	views    map[*View]uint64 // handle per registered view, this connection
-	rounds   atomic.Int64     // request round-trips issued
-	lastSize atomic.Int64     // last size observed from the server, Size's fault fallback
+	views    map[*View]uint64  // handle per registered view, this connection
+	rounds   atomic.Int64      // request round-trips issued
+	lastSize atomic.Int64      // last size observed from the server, Size's fault fallback
+	trailer  [sizeTrailer]byte // opReadv reply trailer, read under mu
 
 	// Epoch staging state.  While epoch != 0, writes go out as staged
 	// ops and are logged in stage; a reconnect replays the log before
@@ -61,8 +63,7 @@ type Client struct {
 
 // stagedReq is one acknowledged staged write, kept for replay.
 type stagedReq struct {
-	op      int    // opStageWrite / opStageWritev: payload replayed verbatim
-	payload []byte // includes the epoch prefix
+	payload []byte // opStageWritev, epoch prefix included: replayed verbatim
 	v       *View  // opStageViewWrite: payload rebuilt per replay (fresh handle)
 	d0, d1  int64
 	data    []byte
@@ -173,8 +174,11 @@ func (c *Client) connectLocked() error {
 // roundTripLocked performs one request/response exchange.  Network and
 // framing failures drop the connection and report transient errors
 // (reconnect-and-reissue heals them); opErr responses are decoded into
-// their class without touching the connection.
-func (c *Client) roundTripLocked(op int, payload []byte) ([]byte, error) {
+// their class without touching the connection.  A successful response
+// is returned freshly allocated, unless dst is non-nil: then it is an
+// opReadv reply, read straight into dst's buffers, and what is returned
+// is its size trailer (valid until the next round-trip).
+func (c *Client) roundTripLocked(op int, payload []byte, dst []storage.Segment) ([]byte, error) {
 	if err := c.connectLocked(); err != nil {
 		return nil, err
 	}
@@ -197,13 +201,9 @@ func (c *Client) roundTripLocked(op int, payload []byte) ([]byte, error) {
 		c.dropLocked()
 		return nil, fmt.Errorf("ioserver %s: send: %v: %w", c.addr, err, storage.ErrTransient)
 	}
-	rseq, tag, resp, err := c.fc.ReadFrame()
+	rseq, tag, n, err := c.fc.ReadHeader()
 	if err != nil {
-		c.dropLocked()
-		if err == io.EOF {
-			err = errors.New("connection closed by server")
-		}
-		return nil, fmt.Errorf("ioserver %s: receive: %v: %w", c.addr, err, storage.ErrTransient)
+		return nil, c.recvFailedLocked(err)
 	}
 	if rseq != seq || (tag != op && tag != opErr) {
 		// Desynchronized stream: no way to re-associate responses.
@@ -211,15 +211,45 @@ func (c *Client) roundTripLocked(op int, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ioserver %s: response desync (seq %d/%d, tag %d/%d): %w",
 			c.addr, rseq, seq, tag, op, storage.ErrTransient)
 	}
-	if tag == opErr {
-		class, msg, err := decodeErr(resp)
-		if err != nil {
-			c.dropLocked()
-			return nil, fmt.Errorf("ioserver %s: malformed error frame: %w", c.addr, storage.ErrTransient)
+	if tag == opErr || dst == nil {
+		resp := make([]byte, n)
+		if err := c.fc.ReadPayload(resp); err != nil {
+			return nil, c.recvFailedLocked(err)
 		}
-		return nil, unwireError(c.addr, class, msg)
+		if tag == opErr {
+			class, msg, err := decodeErr(resp)
+			if err != nil {
+				c.dropLocked()
+				return nil, fmt.Errorf("ioserver %s: malformed error frame: %w", c.addr, storage.ErrTransient)
+			}
+			return nil, unwireError(c.addr, class, msg)
+		}
+		return resp, nil
 	}
-	return resp, nil
+	if want := totalLen(dst) + sizeTrailer; n != want {
+		c.dropLocked() // the unread reply would desynchronize the stream
+		return nil, fmt.Errorf("ioserver %s: vectored read reply of %d bytes, want %d: %w",
+			c.addr, n, want, storage.ErrPermanent)
+	}
+	for _, s := range dst {
+		if err := c.fc.ReadPayload(s.Buf); err != nil {
+			return nil, c.recvFailedLocked(err)
+		}
+	}
+	if err := c.fc.ReadPayload(c.trailer[:]); err != nil {
+		return nil, c.recvFailedLocked(err)
+	}
+	return c.trailer[:], nil
+}
+
+// recvFailedLocked drops the connection after a failed receive and
+// classifies the failure as transient.
+func (c *Client) recvFailedLocked(err error) error {
+	c.dropLocked()
+	if err == io.EOF {
+		err = errors.New("connection closed by server")
+	}
+	return fmt.Errorf("ioserver %s: receive: %v: %w", c.addr, err, storage.ErrTransient)
 }
 
 func decodeErr(payload []byte) (class int64, msg string, err error) {
@@ -233,47 +263,37 @@ func decodeErr(payload []byte) (class int64, msg string, err error) {
 func (c *Client) roundTrip(op int, payload []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.roundTripLocked(op, payload)
+	return c.roundTripLocked(op, payload, nil)
 }
 
-// ReadAt implements io.ReaderAt against the server's stripe.
+// ReadAt implements io.ReaderAt against the server's stripe: a
+// one-entry offset list, whose reply's size trailer gives io.EOF.
 func (c *Client) ReadAt(p []byte, off int64) (int, error) {
-	req := putV(nil, off)
-	req = putV(req, int64(len(p)))
-	resp, err := c.roundTrip(opRead, req)
+	size, err := c.readv([]storage.Segment{{Off: off, Buf: p}})
 	if err != nil {
 		return 0, err
 	}
-	if len(resp) < 1 || len(resp)-1 > len(p) {
-		return 0, fmt.Errorf("ioserver %s: read response length %d for %d-byte read: %w",
-			c.addr, len(resp), len(p), storage.ErrPermanent)
-	}
-	n := copy(p, resp[1:])
-	if resp[0] != 0 {
-		return n, io.EOF
+	return clampEOF(len(p), off, size)
+}
+
+// clampEOF applies a store of the given size to a read of n bytes at
+// off, the way Mem.ReadAt reports it: bytes past size are not counted,
+// and a read reaching past the end — or starting at or past it —
+// reports io.EOF.
+func clampEOF(n int, off, size int64) (int, error) {
+	switch {
+	case off >= size:
+		return 0, io.EOF
+	case off+int64(n) > size:
+		return int(size - off), io.EOF
 	}
 	return n, nil
 }
 
-// WriteAt implements io.WriterAt against the server's stripe.  Inside
-// an epoch the write is staged (journaled server-side, invisible to
-// reads until commit) and logged for replay.
+// WriteAt implements io.WriterAt against the server's stripe as a
+// one-entry offset list; inside an epoch it is staged like WriteAtv.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.epoch != 0 {
-		req := putV(make([]byte, 0, len(p)+24), int64(c.epoch))
-		req = putV(req, off)
-		req = append(req, p...)
-		if _, err := c.roundTripLocked(opStageWrite, req); err != nil {
-			return 0, err
-		}
-		c.logStagedLocked(stagedReq{op: opStageWrite, payload: req}, int64(len(p)))
-		return len(p), nil
-	}
-	req := putV(make([]byte, 0, len(p)+16), off)
-	req = append(req, p...)
-	if _, err := c.roundTripLocked(opWrite, req); err != nil {
+	if err := c.WriteAtv([]storage.Segment{{Off: off, Buf: p}}); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -291,32 +311,37 @@ func (c *Client) logStagedLocked(r stagedReq, bytes int64) {
 // lists of at most MaxListRuns entries each, so n runs cost
 // ceil(n/MaxListRuns) round-trips.
 func (c *Client) ReadAtv(segs []storage.Segment) error {
+	_, err := c.readv(segs)
+	return err
+}
+
+// readv reads segs with opReadv requests, each reply landing straight
+// in the segments' buffers, and returns the stripe size reported by the
+// last reply's trailer.
+func (c *Client) readv(segs []storage.Segment) (int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var size int64
 	for len(segs) > 0 {
 		chunk := c.clipList(segs)
-		req := putV(nil, int64(len(chunk)))
+		req := putV(make([]byte, 0, 8+16*len(chunk)), int64(len(chunk)))
 		for _, s := range chunk {
 			req = putV(req, s.Off)
 			req = putV(req, int64(len(s.Buf)))
 		}
-		resp, err := c.roundTrip(opReadv, req)
+		trailer, err := c.roundTripLocked(opReadv, req, chunk)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		var pos int
-		for _, s := range chunk {
-			pos += copy(s.Buf, resp[pos:])
-		}
-		if pos != len(resp) || pos != totalLen(chunk) {
-			return fmt.Errorf("ioserver %s: vectored read returned %d of %d bytes: %w",
-				c.addr, len(resp), totalLen(chunk), storage.ErrPermanent)
-		}
+		size = int64(binary.LittleEndian.Uint64(trailer))
+		c.lastSize.Store(size)
 		segs = segs[len(chunk):]
 	}
-	return nil
+	return size, nil
 }
 
 // WriteAtv implements storage.Vectored, chunked like ReadAtv; inside an
-// epoch each chunk is staged and logged for replay.
+// epoch each chunk is staged (opStageWritev) and logged for replay.
 func (c *Client) WriteAtv(segs []storage.Segment) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -337,11 +362,11 @@ func (c *Client) WriteAtv(segs []storage.Segment) error {
 		for _, s := range chunk {
 			req = append(req, s.Buf...)
 		}
-		if _, err := c.roundTripLocked(op, req); err != nil {
+		if _, err := c.roundTripLocked(op, req, nil); err != nil {
 			return err
 		}
 		if staged {
-			c.logStagedLocked(stagedReq{op: op, payload: req}, int64(totalLen(chunk)))
+			c.logStagedLocked(stagedReq{payload: req}, int64(totalLen(chunk)))
 		}
 		segs = segs[len(chunk):]
 	}
@@ -355,7 +380,7 @@ func (c *Client) clipList(segs []storage.Segment) []storage.Segment {
 	var bytes int
 	for i := 0; i < n; i++ {
 		bytes += len(segs[i].Buf)
-		if i > 0 && bytes+16*(i+1) > c.maxFrame {
+		if i > 0 && bytes+16*(i+1)+sizeTrailer > c.maxFrame {
 			return segs[:i]
 		}
 	}
@@ -441,7 +466,7 @@ func (c *Client) handleLocked(v *View) (uint64, error) {
 	}
 	req := putV(make([]byte, 0, 16+len(v.Enc)), v.Disp)
 	req = append(req, v.Enc...)
-	resp, err := c.roundTripLocked(opRegister, req)
+	resp, err := c.roundTripLocked(opRegister, req, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -473,7 +498,7 @@ func (c *Client) viewOpLocked(op int, v *View, d0, d1 int64, data []byte) ([]byt
 		req = putV(req, d0)
 		req = putV(req, d1)
 		req = append(req, data...)
-		resp, err := c.roundTripLocked(op, req)
+		resp, err := c.roundTripLocked(op, req, nil)
 		if err == nil {
 			return resp, nil
 		}
@@ -523,7 +548,7 @@ func (c *Client) replayLocked() error {
 	for i := range c.stage {
 		r := &c.stage[i]
 		if r.v == nil {
-			if _, err := c.roundTripLocked(r.op, r.payload); err != nil {
+			if _, err := c.roundTripLocked(opStageWritev, r.payload, nil); err != nil {
 				return err
 			}
 			continue
@@ -538,7 +563,7 @@ func (c *Client) replayLocked() error {
 			req = putV(req, r.d0)
 			req = putV(req, r.d1)
 			req = append(req, r.data...)
-			if _, err = c.roundTripLocked(opStageViewWrite, req); err == nil {
+			if _, err = c.roundTripLocked(opStageViewWrite, req, nil); err == nil {
 				break
 			} else if !errors.Is(err, errStale) || attempt > 0 {
 				return err
@@ -576,7 +601,7 @@ func (c *Client) BeginEpoch(id uint64) {
 func (c *Client) SealEpoch(id uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := c.roundTripLocked(opEpochSeal, putV(nil, int64(id)))
+	resp, err := c.roundTripLocked(opEpochSeal, putV(nil, int64(id)), nil)
 	if err != nil {
 		return err
 	}
@@ -621,7 +646,7 @@ func (c *Client) CommitEpoch(id uint64) error {
 	}
 	req := putV(nil, int64(id))
 	req = putV(req, c.sealedInc)
-	if _, err := c.roundTripLocked(opEpochCommit, req); err != nil {
+	if _, err := c.roundTripLocked(opEpochCommit, req, nil); err != nil {
 		return err
 	}
 	c.lastCommit = id
@@ -636,7 +661,7 @@ func (c *Client) AbortEpoch(id uint64) error {
 	defer c.mu.Unlock()
 	// Don't let the replay machinery re-stage the epoch we're discarding.
 	c.stage = c.stage[:0]
-	_, err := c.roundTripLocked(opEpochAbort, putV(nil, int64(id)))
+	_, err := c.roundTripLocked(opEpochAbort, putV(nil, int64(id)), nil)
 	c.endEpochLocked()
 	return err
 }

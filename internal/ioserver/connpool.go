@@ -1,10 +1,6 @@
 package ioserver
 
-import (
-	"sync/atomic"
-
-	"repro/internal/storage"
-)
+import "sync/atomic"
 
 // Per-server connection pool.  A single Client serializes its
 // round-trips behind one mutex — correct, but sessions sharing a
@@ -66,14 +62,3 @@ func (p *clientPool) close() error {
 	}
 	return first
 }
-
-// storage.Backend + storage.Vectored over the pool: every operation is
-// stateless against the server, so any member serves it.
-
-func (p *clientPool) ReadAt(b []byte, off int64) (int, error)  { return p.pick().ReadAt(b, off) }
-func (p *clientPool) WriteAt(b []byte, off int64) (int, error) { return p.pick().WriteAt(b, off) }
-func (p *clientPool) Size() int64                              { return p.pick().Size() }
-func (p *clientPool) Truncate(n int64) error                   { return p.pick().Truncate(n) }
-func (p *clientPool) Sync() error                              { return p.pick().Sync() }
-func (p *clientPool) ReadAtv(segs []storage.Segment) error     { return p.pick().ReadAtv(segs) }
-func (p *clientPool) WriteAtv(segs []storage.Segment) error    { return p.pick().WriteAtv(segs) }

@@ -23,12 +23,13 @@ import (
 
 const fuzzMaxFrame = 4096
 
-// fuzzOps is the tag alphabet the structured phase draws from: every
-// real op, both ends of the reserved range, and tags outside it.
+// fuzzOps is the tag alphabet the structured phase draws from: the two
+// retired scalar op values, every stateless op, the staged list write,
+// the low end of the reserved range, and tags outside it.
 var fuzzOps = []int{
-	opRead, opWrite, opReadv, opWritev, opSize, opTruncate, opSync,
+	transport.TagServerFirst, transport.TagServerFirst - 1, opReadv, opWritev, opSize, opTruncate, opSync,
 	opRegister, opViewRead, opViewWrite, opStats, opErr,
-	transport.TagServerFirst, transport.TagServerLast, 0, 1, -1, -1000,
+	opStageWritev, transport.TagServerLast, 0, 1, -1, -1000,
 }
 
 var fuzzSrv struct {
@@ -74,6 +75,16 @@ func seedReq(opIdx byte, payload []byte) []byte {
 	return append([]byte{opIdx, byte(len(payload))}, payload...)
 }
 
+// readReply reads one whole response frame.
+func readReply(fc *transport.FrameConn) (seq, tag int, payload []byte, err error) {
+	seq, tag, n, err := fc.ReadHeader()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	payload = make([]byte, n)
+	return seq, tag, payload, fc.ReadPayload(payload)
+}
+
 func vs(vals ...int64) []byte {
 	var b []byte
 	for _, v := range vals {
@@ -90,11 +101,13 @@ func FuzzServerRequest(f *testing.F) {
 	reg := append(putV(nil, 0), datatype.Encode(ft)...)
 
 	// One seed per interesting shape; indexes into fuzzOps.
-	f.Add(seedReq(0, vs(0, 16)))                                // valid read
-	f.Add(seedReq(0, vs(-5, 16)))                               // negative offset
-	f.Add(seedReq(0, vs(0)))                                    // truncated: missing length field
-	f.Add(seedReq(0, vs(0, fuzzMaxFrame*2)))                    // response would exceed frame
-	f.Add(seedReq(1, append(vs(8), []byte("hello")...)))        // valid write
+	f.Add(seedReq(0, vs(0, 16)))                                // retired scalar read op
+	f.Add(seedReq(2, vs(1, 0, 16)))                             // valid one-entry readv
+	f.Add(seedReq(2, vs(1, -5, 16)))                            // negative offset
+	f.Add(seedReq(2, vs(1, 0)))                                 // truncated: missing length field
+	f.Add(seedReq(2, vs(1, 0, fuzzMaxFrame)))                   // reply + size trailer would exceed frame
+	f.Add(seedReq(3, append(vs(1, 8, 5), []byte("hello")...)))  // valid one-entry writev
+	f.Add(seedReq(12, append(vs(1, 1, 8, 2), 'h', 'i')))        // valid staged writev
 	f.Add(seedReq(2, vs(2, 0, 8, 64, 8)))                       // valid 2-run readv
 	f.Add(seedReq(2, vs(300, 0, 8)))                            // list over MaxListRuns
 	f.Add(seedReq(2, vs(1, 0)))                                 // truncated list entry
@@ -148,7 +161,7 @@ func FuzzServerRequest(f *testing.F) {
 			if err := fc.WriteFrame(seq, op, payload); err != nil {
 				break
 			}
-			rseq, rtag, rpayload, err := fc.ReadFrame()
+			rseq, rtag, rpayload, err := readReply(fc)
 			if err != nil {
 				// The server only drops the connection on framing
 				// failures, which phase 1 never produces.
@@ -204,7 +217,7 @@ func FuzzServerRequest(f *testing.F) {
 		if err := hfc.WriteFrame(7, opSize, nil); err != nil {
 			t.Fatal("health-check write:", err)
 		}
-		rseq, rtag, rpayload, err := hfc.ReadFrame()
+		rseq, rtag, rpayload, err := readReply(hfc)
 		if err != nil || rseq != 7 || rtag != opSize {
 			t.Fatalf("health check failed: seq=%d tag=%d err=%v", rseq, rtag, err)
 		}

@@ -5,12 +5,15 @@
 // a client-side storage.Backend that speaks a request/response protocol
 // over the TCP transport's frame codec.
 //
-// The protocol has two faces.  The raw face is plain passthrough —
-// ReadAt/WriteAt and offset-list (vectored) batches against a server's
-// local stripe, with the client doing all the stripe math.  The view
-// face is the paper's idea pushed across the wire: the client registers
-// a fileview (displacement + datatype.Encode'd filetype tree) once,
-// gets back a handle, and from then on each noncontiguous access is a
+// The protocol has two faces.  The raw face is plain passthrough in one
+// form, offset lists: one request names k (offset, length) runs of the
+// server's local stripe, with the client doing all the stripe math, so a
+// striped ReadAt or WriteAt costs one request per owning server.  Every
+// opReadv reply ends with the stripe's size, which is where clients get
+// the global size and io.EOF without a separate opSize.  The view face
+// is the paper's idea pushed across the wire: the client registers a
+// fileview (displacement + datatype.Encode'd filetype tree) once, gets
+// back a handle, and from then on each noncontiguous access is a
 // constant-size (handle, d0, d1) request; the server walks the pattern
 // with fotf against its own stripe and moves exactly the owned bytes,
 // packed in data order.  An offset list naming n runs costs
@@ -30,11 +33,13 @@ import (
 // Protocol operations, carried in the frame tag (within the transport's
 // reserved server-tag range).  The frame src field carries a
 // client-chosen sequence number echoed by the response; a response's
-// tag is the request's op on success, or opErr.
+// tag is the request's op on success, or opErr.  Op values descend from
+// TagServerFirst in declaration order and never shift: a retired op
+// keeps its slot as a blank, and new ops are appended last.
 const (
-	opRead      = transport.TagServerFirst - iota // off, n → eof, data
-	opWrite                                       // off, data → —
-	opReadv                                       // k, k×(off,n) → data
+	_           = transport.TagServerFirst - iota // retired: scalar read (now a one-entry opReadv)
+	_                                             // retired: scalar write (now a one-entry opWritev)
+	opReadv                                       // k, k×(off,n) → data, stripe size (8-byte LE trailer)
 	opWritev                                      // k, k×(off,n), data → —
 	opSize                                        // — → size
 	opTruncate                                    // n → —
@@ -49,7 +54,7 @@ const (
 	// staged under an epoch id are journaled, invisible to reads, and
 	// applied atomically by opEpochCommit; a server restart discards
 	// anything unsealed by a commit record.
-	opStageWrite     // epoch, off, data → — (staged opWrite)
+	_                // retired: staged scalar write (now a one-entry opStageWritev)
 	opStageWritev    // epoch, k, k×(off,n), data → — (staged opWritev)
 	opStageViewWrite // epoch, handle, d0, d1, data → — (staged opViewWrite)
 	opEpochSeal      // epoch → incarnation, staged count, staged bytes (this connection)
@@ -58,11 +63,13 @@ const (
 
 	// opMetrics fetches the server's obs.Registry snapshot (binary
 	// encoding, internal/obs) so the launcher and ranks can pull live
-	// metrics in-band without an HTTP round-trip.  Appended last: op
-	// values descend from TagServerFirst, so new ops must not shift the
-	// existing assignments.
+	// metrics in-band without an HTTP round-trip.
 	opMetrics // — → obs snapshot bytes
 )
+
+// sizeTrailer is the length of the stripe-size trailer that ends every
+// opReadv reply: the server's Backend.Size as a little-endian uint64.
+const sizeTrailer = 8
 
 // MaxListRuns bounds the (offset, length) entries of one opReadv /
 // opWritev request; the client chops larger batches.  Keeping the list
@@ -94,8 +101,8 @@ var errStale = errors.New("ioserver: stale view handle")
 // and also reported locally by Server.Stats.
 type ServerStats struct {
 	Requests   int64 // requests handled, all ops
-	RawReads   int64 // opRead + opReadv
-	RawWrites  int64 // opWrite + opWritev
+	RawReads   int64 // opReadv
+	RawWrites  int64 // opWritev
 	ViewReads  int64 // opViewRead
 	ViewWrites int64 // opViewWrite
 	// ViewRegistrations counts opRegister requests that decoded a new
@@ -108,7 +115,7 @@ type ServerStats struct {
 	// BytesRead / BytesWritten are data bytes moved to/from clients.
 	BytesRead    int64
 	BytesWritten int64
-	// StagedWrites counts epoch-staged write requests (all three staged
+	// StagedWrites counts epoch-staged write requests (both staged
 	// ops); EpochsCommitted counts applied commits.
 	StagedWrites    int64
 	EpochsCommitted int64

@@ -1,9 +1,9 @@
 package ioserver
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -131,8 +131,8 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 		return
 	}
 	r.GaugeFunc("ioserver_requests_total", "Requests handled, all ops.", s.stats.requests.Load)
-	r.GaugeFunc("ioserver_raw_reads_total", "opRead and opReadv requests served.", s.stats.rawReads.Load)
-	r.GaugeFunc("ioserver_raw_writes_total", "opWrite and opWritev requests served.", s.stats.rawWrites.Load)
+	r.GaugeFunc("ioserver_raw_reads_total", "opReadv requests served.", s.stats.rawReads.Load)
+	r.GaugeFunc("ioserver_raw_writes_total", "opWritev requests served.", s.stats.rawWrites.Load)
 	r.GaugeFunc("ioserver_view_reads_total", "opViewRead requests served.", s.stats.viewReads.Load)
 	r.GaugeFunc("ioserver_view_writes_total", "opViewWrite requests served.", s.stats.viewWrites.Load)
 	r.GaugeFunc("ioserver_view_registrations_total", "opRegister requests that decoded a new view.", s.stats.viewRegs.Load)
@@ -157,9 +157,9 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 			return 0
 		})
 	s.opNs = make(map[int]*obs.Hist)
-	for _, tag := range []int{opRead, opWrite, opReadv, opWritev, opSize, opTruncate, opSync,
+	for _, tag := range []int{opReadv, opWritev, opSize, opTruncate, opSync,
 		opRegister, opViewRead, opViewWrite, opStats,
-		opStageWrite, opStageWritev, opStageViewWrite,
+		opStageWritev, opStageViewWrite,
 		opEpochSeal, opEpochCommit, opEpochAbort, opMetrics} {
 		s.opNs[tag] = r.Hist("ioserver_op_ns", "Server-side request handling latency by op.",
 			obs.Label{Key: "op", Value: opName(tag)})
@@ -169,10 +169,6 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 // opName labels a protocol op for metrics.
 func opName(tag int) string {
 	switch tag {
-	case opRead:
-		return "read"
-	case opWrite:
-		return "write"
 	case opReadv:
 		return "readv"
 	case opWritev:
@@ -191,8 +187,6 @@ func opName(tag int) string {
 		return "view_write"
 	case opStats:
 		return "stats"
-	case opStageWrite:
-		return "stage_write"
 	case opStageWritev:
 		return "stage_writev"
 	case opStageViewWrite:
@@ -341,7 +335,9 @@ type connState struct {
 	lru    []*serverView          // least recent first
 	nextID uint64
 
+	req  []byte            // request payload buffer, reused
 	resp []byte            // response staging buffer, reused
+	ents [][2]int64        // decoded offset list (off, n), reused
 	segs []storage.Segment // vectored-call staging, reused
 
 	// Staging tally for the connection's in-flight epoch, echoed by
@@ -364,14 +360,22 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	defer st.fc.Close()
 	for {
-		seq, tag, payload, err := st.fc.ReadFrame()
+		// EOF is the client hanging up; anything else is a framing
+		// failure — either way the stream is over.
+		seq, tag, n, err := st.fc.ReadHeader()
 		if err != nil {
-			// EOF is the client hanging up; anything else is a framing
-			// failure — either way the stream is over.
+			return
+		}
+		// Every request lands in the one per-connection buffer: no
+		// handler keeps its payload past the response (staging and the
+		// journal copy, backends must not retain write buffers, and a
+		// registration's cache key is a string copy).
+		st.req = grow(st.req[:0], int64(n))
+		if err := st.fc.ReadPayload(st.req); err != nil {
 			return
 		}
 		s.stats.requests.Add(1)
-		if err := st.handle(seq, tag, payload); err != nil {
+		if err := st.handle(seq, tag, st.req); err != nil {
 			return // response write failed: connection is gone
 		}
 	}
@@ -408,14 +412,10 @@ var errBadRequest = errors.New("ioserver: bad request")
 
 func (st *connState) dispatch(tag int, payload []byte) ([]byte, error) {
 	switch tag {
-	case opRead:
-		return st.opRead(payload)
-	case opWrite:
-		return st.opWrite(payload)
 	case opReadv:
 		return st.opReadv(payload)
 	case opWritev:
-		return st.opWritev(payload)
+		return st.opWritev(payload, false)
 	case opSize:
 		return putV(st.resp[:0], st.srv.cfg.Backend.Size()), nil
 	case opTruncate:
@@ -431,10 +431,8 @@ func (st *connState) dispatch(tag int, payload []byte) ([]byte, error) {
 		return nil, st.srv.cfg.Backend.Sync()
 	case opRegister:
 		return st.opRegister(payload)
-	case opViewRead:
-		return st.opView(payload, false)
-	case opViewWrite:
-		return st.opView(payload, true)
+	case opViewRead, opViewWrite, opStageViewWrite:
+		return st.opView(payload, tag)
 	case opStats:
 		return st.srv.Stats().encode(st.resp[:0]), nil
 	case opMetrics:
@@ -443,12 +441,8 @@ func (st *connState) dispatch(tag int, payload []byte) ([]byte, error) {
 		snap := st.srv.cfg.Metrics.Snapshot(st.srv.cfg.Proc)
 		st.resp = append(st.resp[:0], snap.Encode()...)
 		return st.resp, nil
-	case opStageWrite:
-		return st.opStageWrite(payload)
 	case opStageWritev:
-		return st.opStageWritev(payload)
-	case opStageViewWrite:
-		return st.opStageViewWrite(payload)
+		return st.opWritev(payload, true)
 	case opEpochSeal:
 		return st.opEpochSeal(payload)
 	case opEpochCommit:
@@ -459,135 +453,101 @@ func (st *connState) dispatch(tag int, payload []byte) ([]byte, error) {
 	return nil, fmt.Errorf("%w: unknown op %d", errBadRequest, tag)
 }
 
-// opRead: off, n → eof flag, data.  Plain ReadAt relay, preserving the
-// short-read-plus-EOF shape of the Backend contract.
-func (st *connState) opRead(payload []byte) ([]byte, error) {
-	off, payload, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	n, _, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	if off < 0 || n < 0 || n > int64(st.srv.cfg.MaxFrame)-1 {
-		return nil, fmt.Errorf("%w: read off %d len %d", errBadRequest, off, n)
-	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, off, n)
-	defer sp.End()
-	st.resp = grow(st.resp[:0], 1+n)
-	st.resp[0] = 0
-	m, err := st.srv.cfg.Backend.ReadAt(st.resp[1:1+n], off)
-	if err == io.EOF {
-		st.resp[0] = 1
-	} else if err != nil {
-		return nil, err
-	}
-	st.srv.stats.rawReads.Add(1)
-	st.srv.stats.bytesRead.Add(int64(m))
-	return st.resp[:1+m], nil
-}
-
-// opWrite: off, data → —.
-func (st *connState) opWrite(payload []byte) ([]byte, error) {
-	off, data, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	if off < 0 {
-		return nil, fmt.Errorf("%w: write off %d", errBadRequest, off)
-	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerWrite, off, int64(len(data)))
-	defer sp.End()
-	if _, err := st.srv.cfg.Backend.WriteAt(data, off); err != nil {
-		return nil, err
-	}
-	st.srv.stats.rawWrites.Add(1)
-	st.srv.stats.bytesWritten.Add(int64(len(data)))
-	return nil, nil
-}
-
-// opReadv: k, k×(off,n) → concatenated data (ReadFull semantics per
-// entry: bytes past the stripe's EOF read as zeros).
-func (st *connState) opReadv(payload []byte) ([]byte, error) {
+// parseList decodes an offset list — k, then k×(off, n) — into st.ents
+// and returns the runs' total length and the bytes after the list.
+// limit bounds the total.
+func (st *connState) parseList(payload []byte, limit int64) (int64, []byte, error) {
 	k, payload, err := getV(payload)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if k < 0 || k > MaxListRuns {
-		return nil, fmt.Errorf("%w: list of %d runs (limit %d)", errBadRequest, k, MaxListRuns)
+		return 0, nil, fmt.Errorf("%w: list of %d runs (limit %d)", errBadRequest, k, MaxListRuns)
 	}
-	type ent struct{ off, n int64 }
-	ents := make([]ent, 0, k)
+	st.ents = st.ents[:0]
 	var total int64
 	for i := int64(0); i < k; i++ {
 		var off, n int64
 		if off, payload, err = getV(payload); err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		if n, payload, err = getV(payload); err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		if off < 0 || n < 0 || total+n > int64(st.srv.cfg.MaxFrame) {
-			return nil, fmt.Errorf("%w: list entry off %d len %d", errBadRequest, off, n)
+		if off < 0 || n < 0 || total+n > limit {
+			return 0, nil, fmt.Errorf("%w: list entry off %d len %d", errBadRequest, off, n)
 		}
-		ents = append(ents, ent{off, n})
+		st.ents = append(st.ents, [2]int64{off, n})
 		total += n
 	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, 0, total)
-	defer sp.End()
-	st.resp = grow(st.resp[:0], total)
+	return total, payload, nil
+}
+
+// carve lays the decoded list over data, which holds the runs' bytes
+// back to back, as local segments.
+func (st *connState) carve(data []byte) []storage.Segment {
 	st.segs = st.segs[:0]
 	var pos int64
-	for _, e := range ents {
-		st.segs = append(st.segs, storage.Segment{Off: e.off, Buf: st.resp[pos : pos+e.n]})
-		pos += e.n
+	for _, e := range st.ents {
+		st.segs = append(st.segs, storage.Segment{Off: e[0], Buf: data[pos : pos+e[1]]})
+		pos += e[1]
 	}
-	if err := storage.ReadAtv(st.srv.cfg.Backend, st.segs); err != nil {
+	return st.segs
+}
+
+// opReadv: k, k×(off,n) → concatenated data (ReadFull semantics per
+// entry: bytes past the stripe's EOF read as zeros), then the stripe's
+// size as a sizeTrailer — what lets a client derive io.EOF and the
+// global size from the replies of a read alone.
+func (st *connState) opReadv(payload []byte) ([]byte, error) {
+	cfg := &st.srv.cfg
+	total, _, err := st.parseList(payload, int64(cfg.MaxFrame-sizeTrailer))
+	if err != nil {
 		return nil, err
 	}
+	sp := cfg.Tracer.BeginIO(trace.PhaseServerRead, 0, total)
+	defer sp.End()
+	st.resp = grow(st.resp[:0], total+sizeTrailer)
+	if err := storage.ReadAtv(cfg.Backend, st.carve(st.resp[:total])); err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint64(st.resp[total:], uint64(cfg.Backend.Size()))
 	st.srv.stats.rawReads.Add(1)
 	st.srv.stats.bytesRead.Add(total)
 	return st.resp, nil
 }
 
-// opWritev: k, k×(off,n), concatenated data → —.
-func (st *connState) opWritev(payload []byte) ([]byte, error) {
-	k, payload, err := getV(payload)
+// opWritev: k, k×(off,n), concatenated data → —.  As opStageWritev the
+// request leads with an epoch id, and the runs are journaled and parked
+// under that epoch instead of written.
+func (st *connState) opWritev(payload []byte, staged bool) ([]byte, error) {
+	var epoch uint64
+	if staged {
+		var err error
+		if epoch, payload, err = getEpoch(payload); err != nil {
+			return nil, err
+		}
+	}
+	total, data, err := st.parseList(payload, int64(st.srv.cfg.MaxFrame))
 	if err != nil {
 		return nil, err
 	}
-	if k < 0 || k > MaxListRuns {
-		return nil, fmt.Errorf("%w: list of %d runs (limit %d)", errBadRequest, k, MaxListRuns)
+	if int64(len(data)) != total {
+		return nil, fmt.Errorf("%w: write list names %d bytes, payload carries %d", errBadRequest, total, len(data))
 	}
-	st.segs = st.segs[:0]
-	var total int64
-	offs := make([][2]int64, 0, k)
-	for i := int64(0); i < k; i++ {
-		var off, n int64
-		if off, payload, err = getV(payload); err != nil {
+	segs := st.carve(data)
+	if staged {
+		sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, 0, total)
+		defer sp.End()
+		if err := st.srv.stageEpoch(epoch, segs); err != nil {
 			return nil, err
 		}
-		if n, payload, err = getV(payload); err != nil {
-			return nil, err
-		}
-		if off < 0 || n < 0 || total+n > int64(st.srv.cfg.MaxFrame) {
-			return nil, fmt.Errorf("%w: list entry off %d len %d", errBadRequest, off, n)
-		}
-		offs = append(offs, [2]int64{off, n})
-		total += n
-	}
-	if int64(len(payload)) != total {
-		return nil, fmt.Errorf("%w: write list names %d bytes, payload carries %d", errBadRequest, total, len(payload))
+		st.tally(epoch, total)
+		return nil, nil
 	}
 	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerWrite, 0, total)
 	defer sp.End()
-	var pos int64
-	for _, e := range offs {
-		st.segs = append(st.segs, storage.Segment{Off: e[0], Buf: payload[pos : pos+e[1]]})
-		pos += e[1]
-	}
-	if err := storage.WriteAtv(st.srv.cfg.Backend, st.segs); err != nil {
+	if err := storage.WriteAtv(st.srv.cfg.Backend, segs); err != nil {
 		return nil, err
 	}
 	st.srv.stats.rawWrites.Add(1)
@@ -644,13 +604,21 @@ func (st *connState) touch(v *serverView) {
 	}
 }
 
-// opView serves opViewRead / opViewWrite: handle, d0, d1 [, data].  The
-// server walks the registered pattern over [d0, d1), keeps the pieces
-// its stripe owns, and moves them against its local backend in data
-// order — one vectored call per request in the common case, flushed in
-// bounded batches so a hostile many-tiny-runs view cannot force an
-// oversized segment list.
-func (st *connState) opView(payload []byte, write bool) ([]byte, error) {
+// opView serves opViewRead, opViewWrite and opStageViewWrite: [epoch,]
+// handle, d0, d1 [, data].  The server walks the registered pattern over
+// [d0, d1), keeps the pieces its stripe owns, and moves them against its
+// local backend in data order — staged, it journals and parks them under
+// the epoch instead — one vectored call per request in the common case,
+// flushed in bounded batches so a hostile many-tiny-runs view cannot
+// force an oversized segment list.
+func (st *connState) opView(payload []byte, op int) ([]byte, error) {
+	var epoch uint64
+	var err error
+	if op == opStageViewWrite {
+		if epoch, payload, err = getEpoch(payload); err != nil {
+			return nil, err
+		}
+	}
 	h, payload, err := getV(payload)
 	if err != nil {
 		return nil, err
@@ -686,17 +654,15 @@ func (st *connState) opView(payload []byte, write bool) ([]byte, error) {
 		return nil, err
 	}
 
-	var data []byte
-	ph := trace.PhaseServerViewRead
-	if write {
-		if int64(len(payload)) != total {
-			return nil, fmt.Errorf("%w: view write carries %d bytes, stripe owns %d of [%d,%d)", errBadRequest, len(payload), total, d0, d1)
-		}
-		data = payload
-		ph = trace.PhaseServerViewWrite
-	} else {
+	data, ph := payload, trace.PhaseServerViewWrite
+	switch {
+	case op == opViewRead:
 		st.resp = grow(st.resp[:0], total)
-		data = st.resp
+		data, ph = st.resp, trace.PhaseServerViewRead
+	case int64(len(payload)) != total:
+		return nil, fmt.Errorf("%w: view write carries %d bytes, stripe owns %d of [%d,%d)", errBadRequest, len(payload), total, d0, d1)
+	case op == opStageViewWrite:
+		ph = trace.PhaseServerStage
 	}
 	sp := cfg.Tracer.BeginIO(ph, d0, total)
 	defer sp.End()
@@ -711,10 +677,13 @@ func (st *connState) opView(payload []byte, write bool) ([]byte, error) {
 			return nil
 		}
 		var err error
-		if write {
-			err = storage.WriteAtv(cfg.Backend, st.segs)
-		} else {
+		switch op {
+		case opViewRead:
 			err = storage.ReadAtv(cfg.Backend, st.segs)
+		case opViewWrite:
+			err = storage.WriteAtv(cfg.Backend, st.segs)
+		default:
+			err = st.srv.stageEpoch(epoch, st.segs)
 		}
 		st.segs = st.segs[:0]
 		return err
@@ -736,14 +705,18 @@ func (st *connState) opView(payload []byte, write bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if write {
+	switch op {
+	case opViewRead:
+		st.srv.stats.viewReads.Add(1)
+		st.srv.stats.bytesRead.Add(total)
+		return st.resp, nil
+	case opViewWrite:
 		st.srv.stats.viewWrites.Add(1)
 		st.srv.stats.bytesWritten.Add(total)
-		return nil, nil
+	default:
+		st.tally(epoch, total)
 	}
-	st.srv.stats.viewReads.Add(1)
-	st.srv.stats.bytesRead.Add(total)
-	return st.resp, nil
+	return nil, nil
 }
 
 // grow returns buf extended to n bytes, reallocating only when the

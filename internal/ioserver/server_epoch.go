@@ -38,7 +38,6 @@ func (s *Server) stageEpoch(epoch uint64, segs []storage.Segment) error {
 		buf = append(buf, sg.Buf...)
 		s.staged[epoch] = append(s.staged[epoch], storage.Segment{Off: sg.Off, Buf: buf[start:]})
 	}
-	s.stats.stagedWrites.Add(1)
 	s.stats.bytesWritten.Add(int64(total))
 	return nil
 }
@@ -107,9 +106,11 @@ func (s *Server) LastCommitted() uint64 {
 	return s.lastCommitted
 }
 
-// tally records one staged request on this connection.  One epoch is in
-// flight per connection at a time, so a new epoch resets the counters.
+// tally records one staged request on this connection and in the
+// server's staged-write count.  One epoch is in flight per connection at
+// a time, so a new epoch resets the connection's counters.
 func (st *connState) tally(epoch uint64, bytes int64) {
+	st.srv.stats.stagedWrites.Add(1)
 	if st.tallyEpoch != epoch {
 		st.tallyEpoch, st.tallyCount, st.tallyBytes = epoch, 0, 0
 	}
@@ -127,142 +128,6 @@ func getEpoch(payload []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: epoch id %d", errBadRequest, e)
 	}
 	return uint64(e), rest, nil
-}
-
-// opStageWrite: epoch, off, data → — (the staged twin of opWrite).
-func (st *connState) opStageWrite(payload []byte) ([]byte, error) {
-	epoch, payload, err := getEpoch(payload)
-	if err != nil {
-		return nil, err
-	}
-	off, data, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	if off < 0 {
-		return nil, fmt.Errorf("%w: stage off %d", errBadRequest, off)
-	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, off, int64(len(data)))
-	defer sp.End()
-	if err := st.srv.stageEpoch(epoch, []storage.Segment{{Off: off, Buf: data}}); err != nil {
-		return nil, err
-	}
-	st.tally(epoch, int64(len(data)))
-	return nil, nil
-}
-
-// opStageWritev: epoch, k, k×(off,n), data → — (staged opWritev).
-func (st *connState) opStageWritev(payload []byte) ([]byte, error) {
-	epoch, payload, err := getEpoch(payload)
-	if err != nil {
-		return nil, err
-	}
-	k, payload, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	if k < 0 || k > MaxListRuns {
-		return nil, fmt.Errorf("%w: list of %d runs (limit %d)", errBadRequest, k, MaxListRuns)
-	}
-	st.segs = st.segs[:0]
-	var total int64
-	offs := make([][2]int64, 0, k)
-	for i := int64(0); i < k; i++ {
-		var off, n int64
-		if off, payload, err = getV(payload); err != nil {
-			return nil, err
-		}
-		if n, payload, err = getV(payload); err != nil {
-			return nil, err
-		}
-		if off < 0 || n < 0 || total+n > int64(st.srv.cfg.MaxFrame) {
-			return nil, fmt.Errorf("%w: list entry off %d len %d", errBadRequest, off, n)
-		}
-		offs = append(offs, [2]int64{off, n})
-		total += n
-	}
-	if int64(len(payload)) != total {
-		return nil, fmt.Errorf("%w: stage list names %d bytes, payload carries %d", errBadRequest, total, len(payload))
-	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, 0, total)
-	defer sp.End()
-	var pos int64
-	for _, e := range offs {
-		st.segs = append(st.segs, storage.Segment{Off: e[0], Buf: payload[pos : pos+e[1]]})
-		pos += e[1]
-	}
-	if err := st.srv.stageEpoch(epoch, st.segs); err != nil {
-		return nil, err
-	}
-	st.tally(epoch, total)
-	return nil, nil
-}
-
-// opStageViewWrite: epoch, handle, d0, d1, data → — (staged
-// opViewWrite): the server walks the registered pattern like opView but
-// stages the owned pieces instead of writing them.
-func (st *connState) opStageViewWrite(payload []byte) ([]byte, error) {
-	epoch, payload, err := getEpoch(payload)
-	if err != nil {
-		return nil, err
-	}
-	h, payload, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	d0, payload, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	d1, payload, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	if d0 < 0 || d1 < d0 || d1-d0 > int64(st.srv.cfg.MaxFrame) {
-		return nil, fmt.Errorf("%w: view range [%d,%d)", errBadRequest, d0, d1)
-	}
-	v, ok := st.views[uint64(h)]
-	if !ok {
-		st.srv.stats.staleHandles.Add(1)
-		st.srv.cfg.Tracer.Instant(trace.PhaseServerViewStale, h, 0, "")
-		return nil, fmt.Errorf("view handle %d: %w", h, errStale)
-	}
-	cfg := &st.srv.cfg
-
-	var total int64
-	err = walkView(v.t, v.disp, cfg.Geom, d0, d1, func(stripe int, _, _, n int64) error {
-		if stripe == cfg.Index {
-			total += n
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(payload)) != total {
-		return nil, fmt.Errorf("%w: staged view write carries %d bytes, stripe owns %d of [%d,%d)",
-			errBadRequest, len(payload), total, d0, d1)
-	}
-	sp := cfg.Tracer.BeginIO(trace.PhaseServerStage, d0, total)
-	defer sp.End()
-	st.segs = st.segs[:0]
-	var pos int64
-	err = walkView(v.t, v.disp, cfg.Geom, d0, d1, func(stripe int, localOff, _, n int64) error {
-		if stripe != cfg.Index {
-			return nil
-		}
-		st.segs = append(st.segs, storage.Segment{Off: localOff, Buf: payload[pos : pos+n]})
-		pos += n
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := st.srv.stageEpoch(epoch, st.segs); err != nil {
-		return nil, err
-	}
-	st.tally(epoch, total)
-	return nil, nil
 }
 
 // opEpochSeal: epoch → incarnation, staged count, staged bytes (this

@@ -276,8 +276,9 @@ func TestViewCacheHitAndStale(t *testing.T) {
 	}
 }
 
-// flaky fails every operation with a transient error until armed
-// count runs out, then behaves like its inner Mem.
+// flaky fails every data operation, vectored ones included, with a
+// transient error until armed count runs out, then behaves like its
+// inner Mem.
 type flaky struct {
 	*storage.Mem
 	mu   sync.Mutex
@@ -308,12 +309,27 @@ func (f *flaky) WriteAt(p []byte, off int64) (int, error) {
 	return f.Mem.WriteAt(p, off)
 }
 
-// permBackend fails every write permanently.
+func (f *flaky) ReadAtv(segs []storage.Segment) error {
+	if err := f.trip(); err != nil {
+		return err
+	}
+	return f.Mem.ReadAtv(segs)
+}
+
+func (f *flaky) WriteAtv(segs []storage.Segment) error {
+	if err := f.trip(); err != nil {
+		return err
+	}
+	return f.Mem.WriteAtv(segs)
+}
+
+// permBackend fails every write, vectored ones included, permanently.
 type permBackend struct{ *storage.Mem }
 
-func (p *permBackend) WriteAt(b []byte, off int64) (int, error) {
-	return 0, fmt.Errorf("perm: media gone: %w", storage.ErrPermanent)
-}
+var errMediaGone = fmt.Errorf("perm: media gone: %w", storage.ErrPermanent)
+
+func (p *permBackend) WriteAt(b []byte, off int64) (int, error) { return 0, errMediaGone }
+func (p *permBackend) WriteAtv(segs []storage.Segment) error    { return errMediaGone }
 
 // TestErrorTaxonomyAcrossWire checks that the storage sentinels survive
 // the protocol: a server-side transient is transient client-side (and a
@@ -421,5 +437,68 @@ func TestListChunking(t *testing.T) {
 		if data[2*i] != byte(i) || data[2*i+1] != byte(i>>8) {
 			t.Fatalf("run %d read back %v", i, data[2*i:2*i+2])
 		}
+	}
+}
+
+// TestStagedViewWrite: a view write inside an epoch is staged on every
+// owning server — invisible to reads until the commit — and a
+// reconnect mid-epoch re-stages it from the client's stage log before
+// the seal.
+func TestStagedViewWrite(t *testing.T) {
+	agg, servers := startServers(t, 8, 2, nil)
+	ft := viewType(t, 3, 7, 5)
+	const disp, d0, d1 = 5, 4, 60
+	h, err := agg.RegisterView(disp, ft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := bytes.Repeat([]byte{0x11}, 200)
+	if _, err := agg.WriteAt(base, 0); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, d1-d0)
+	for i := range data {
+		data[i] = byte(i*5 + 3)
+	}
+	image := func() []byte {
+		got := make([]byte, len(base))
+		if _, err := agg.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	agg.EpochBegin(7)
+	if err := agg.ViewWrite(h, data, d0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image(), base) {
+		t.Fatal("staged view write visible before commit")
+	}
+	for _, c := range agg.AllClients() {
+		c.Close() // the seal redials and replays the stage log
+	}
+	if err := agg.EpochSeal(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.EpochCommit(7); err != nil {
+		t.Fatal(err)
+	}
+
+	want := append([]byte(nil), base...)
+	fotf.Runs(ft, d0, d1, func(bufOff, dataOff, runLen, stride, n int64) {
+		for i := int64(0); i < n; i++ {
+			copy(want[disp+bufOff+i*stride:], data[dataOff+i*runLen-d0:dataOff+(i+1)*runLen-d0])
+		}
+	})
+	if !bytes.Equal(image(), want) {
+		t.Fatal("committed image differs from the fotf oracle")
+	}
+	var staged int64
+	for _, s := range servers {
+		staged += s.Stats().StagedWrites
+	}
+	if staged != 4 {
+		t.Fatalf("%d staged requests, want 4: one per server, then one replay each", staged)
 	}
 }

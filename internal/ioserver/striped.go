@@ -2,6 +2,7 @@ package ioserver
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/datatype"
@@ -10,13 +11,14 @@ import (
 )
 
 // Striped aggregates one Client per I/O server into the storage.Backend
-// the ranks mount: the network-tier generalization of storage.Striped.
-// Scalar and metadata operations reuse the in-process Striped logic
-// over the clients; vectored batches fan out concurrently (one offset
-// list per server); registered views go through storage.ViewBackend, so
-// core's sparse direct path sends constant-size requests instead of
-// offset lists and the servers evaluate the noncontiguous pattern
-// against their own stripes.
+// the ranks mount: the network-tier generalization of storage.Striped,
+// with the same stripe math (storage.SplitSegs) and the same results.
+// Every data access — ReadAt and WriteAt included — fans out
+// concurrently as one offset list per owning server, so a collective
+// window costs one request per server it touches.  Registered views go
+// through storage.ViewBackend, so core's sparse direct path sends
+// constant-size requests instead of offset lists and the servers
+// evaluate the noncontiguous pattern against their own stripes.
 // Each server is reached through a clientPool of ClientOptions.Conns
 // connections (connpool.go); stateless operations are dealt round-robin
 // so concurrent sessions sharing this backend do not convoy on one
@@ -24,7 +26,6 @@ import (
 type Striped struct {
 	pools []*clientPool
 	geom  storage.StripeGeom
-	local *storage.Striped // scalar/metadata ops over the pools
 
 	mu     sync.Mutex
 	views  map[storage.ViewHandle]*aggView
@@ -47,19 +48,12 @@ func NewStriped(unit int64, addrs []string, opts ClientOptions) (*Striped, error
 		return nil, err
 	}
 	pools := make([]*clientPool, len(addrs))
-	backends := make([]storage.Backend, len(addrs))
 	for i, a := range addrs {
 		pools[i] = newClientPool(a, opts.Conns, opts)
-		backends[i] = pools[i]
-	}
-	local, err := storage.NewStriped(unit, backends...)
-	if err != nil {
-		return nil, err
 	}
 	return &Striped{
 		pools: pools,
 		geom:  g,
-		local: local,
 		views: make(map[storage.ViewHandle]*aggView),
 	}, nil
 }
@@ -150,14 +144,75 @@ func (s *Striped) Close() error {
 	return first
 }
 
-// Scalar Backend operations delegate to the in-process Striped over the
-// clients: correct, and cheap enough for the metadata path.
+// ReadAt implements io.ReaderAt with one offset-list request per
+// owning server, issued concurrently.  Every reply carries its server's
+// stripe size, so the global size — and with it io.EOF — comes with the
+// data.  Only a read that ends past every size it got back asks the
+// servers it did not read from for their sizes: one of them may hold
+// the file's tail.
+func (s *Striped) ReadAt(p []byte, off int64) (int, error) {
+	bySrv, err := storage.SplitSegs(s.geom, []storage.Segment{{Off: off, Buf: p}})
+	if err != nil {
+		return 0, err
+	}
+	sizes := make([]int64, len(s.pools)) // global length each server's stripe implies
+	unowned := func(i int) bool { return len(bySrv[i]) == 0 }
+	err = s.fanOut(len(s.pools), unowned, func(i int) error {
+		local, err := s.pools[i].pick().readv(bySrv[i])
+		sizes[i] = s.geom.GlobalLen(local, i)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	if size := slices.Max(sizes); size <= off || size < off+int64(len(p)) {
+		s.fanOut(len(s.pools),
+			func(i int) bool { return !unowned(i) },
+			func(i int) error {
+				sizes[i] = s.geom.GlobalLen(s.pools[i].pick().Size(), i)
+				return nil
+			})
+	}
+	return clampEOF(len(p), off, slices.Max(sizes))
+}
 
-func (s *Striped) ReadAt(p []byte, off int64) (int, error)  { return s.local.ReadAt(p, off) }
-func (s *Striped) WriteAt(p []byte, off int64) (int, error) { return s.local.WriteAt(p, off) }
-func (s *Striped) Size() int64                              { return s.local.Size() }
-func (s *Striped) Truncate(n int64) error                   { return s.local.Truncate(n) }
-func (s *Striped) Sync() error                              { return s.local.Sync() }
+// WriteAt implements io.WriterAt with one offset-list request per
+// owning server, issued concurrently (staged inside an epoch).
+func (s *Striped) WriteAt(p []byte, off int64) (int, error) {
+	if err := s.WriteAtv([]storage.Segment{{Off: off, Buf: p}}); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// Size reports the logical size: the furthest global offset any
+// server's stripe reaches.
+func (s *Striped) Size() int64 {
+	sizes := make([]int64, len(s.pools))
+	s.fanOut(len(s.pools), func(int) bool { return false }, func(i int) error {
+		sizes[i] = s.geom.GlobalLen(s.pools[i].pick().Size(), i)
+		return nil
+	})
+	return slices.Max(sizes)
+}
+
+// Truncate implements storage.Backend by sizing every stripe to cover
+// n bytes.
+func (s *Striped) Truncate(n int64) error {
+	if n < 0 {
+		return fmt.Errorf("storage: negative truncate %d", n)
+	}
+	return s.fanOut(len(s.pools), func(int) bool { return false }, func(i int) error {
+		return s.pools[i].pick().Truncate(s.geom.LocalLen(n, i))
+	})
+}
+
+// Sync flushes every server's stripe.
+func (s *Striped) Sync() error {
+	return s.fanOut(len(s.pools), func(int) bool { return false }, func(i int) error {
+		return s.pools[i].pick().Sync()
+	})
+}
 
 // fanOut runs fn for every server with a non-empty argument,
 // concurrently, and reports the first failure.
@@ -193,7 +248,7 @@ func (s *Striped) ReadAtv(segs []storage.Segment) error {
 	}
 	return s.fanOut(len(s.pools),
 		func(i int) bool { return len(bySrv[i]) == 0 },
-		func(i int) error { return s.pools[i].ReadAtv(bySrv[i]) })
+		func(i int) error { return s.pools[i].pick().ReadAtv(bySrv[i]) })
 }
 
 // WriteAtv implements storage.Vectored, fanned out like ReadAtv.
@@ -204,7 +259,7 @@ func (s *Striped) WriteAtv(segs []storage.Segment) error {
 	}
 	return s.fanOut(len(s.pools),
 		func(i int) bool { return len(bySrv[i]) == 0 },
-		func(i int) error { return s.pools[i].WriteAtv(bySrv[i]) })
+		func(i int) error { return s.pools[i].pick().WriteAtv(bySrv[i]) })
 }
 
 // SupportsViews implements storage.ViewBackend.

@@ -2,9 +2,14 @@ package ioserver
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,5 +164,131 @@ func TestWireChaosSoak(t *testing.T) {
 				t.Error("soak injected no destructive wire faults; raise rounds or probabilities")
 			}
 		})
+	}
+}
+
+// headerFlipProxy forwards TCP connections to a server and flips one
+// length bit in the header of the server's nth response frame, counted
+// across connections: header corruption on the reply side, which the
+// client-side ChaosConn cannot produce.
+type headerFlipProxy struct {
+	ln      net.Listener
+	target  string
+	nth     int64
+	frames  atomic.Int64
+	flipped atomic.Int64
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	conns   []net.Conn
+}
+
+func startHeaderFlipProxy(t *testing.T, target string, nth int64) *headerFlipProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &headerFlipProxy{ln: ln, target: target, nth: nth}
+	p.wg.Add(1)
+	go p.serve()
+	return p
+}
+
+func (p *headerFlipProxy) serve() {
+	defer p.wg.Done()
+	for {
+		c, err := p.ln.Accept()
+		if err != nil {
+			return
+		}
+		s, err := net.Dial("tcp", p.target)
+		if err != nil {
+			c.Close()
+			continue
+		}
+		p.mu.Lock()
+		p.conns = append(p.conns, c, s)
+		p.mu.Unlock()
+		p.wg.Add(2)
+		go func() { // requests pass verbatim
+			defer p.wg.Done()
+			io.Copy(s, c)
+			s.Close()
+		}()
+		go func() {
+			defer p.wg.Done()
+			p.replies(c, s)
+			c.Close()
+		}()
+	}
+}
+
+// replies copies response frames from s to c, header by header.
+func (p *headerFlipProxy) replies(c, s net.Conn) {
+	var hdr [transport.FrameHeaderSize + 4]byte // FrameConn header: frame header + CRC
+	for {
+		if _, err := io.ReadFull(s, hdr[:]); err != nil {
+			return
+		}
+		if p.frames.Add(1) == p.nth {
+			hdr[1] ^= 0x01 // the length is off by 256
+			p.flipped.Add(1)
+		}
+		if _, err := c.Write(hdr[:]); err != nil {
+			return
+		}
+		if _, err := io.CopyN(c, s, int64(binary.LittleEndian.Uint32(hdr[0:4]))); err != nil {
+			return
+		}
+	}
+}
+
+func (p *headerFlipProxy) close() {
+	p.ln.Close()
+	p.mu.Lock()
+	for _, c := range p.conns {
+		c.Close()
+	}
+	p.mu.Unlock()
+	p.wg.Wait()
+}
+
+// TestWireChaosScatterReadHeaderFlip: a reply header corrupted in the
+// middle of a scatter read — the read needs three list requests on the
+// proxied server, and the first reply has already landed in the
+// caller's buffer when the second arrives damaged — is a framing error
+// the client reports as transient, and a storage.Resilient retry
+// leaves the read byte-exact.
+func TestWireChaosScatterReadHeaderFlip(t *testing.T) {
+	const unit, units = 16, 3 * MaxListRuns // units per server
+	direct, _ := startServers(t, unit, 2, nil)
+	file := make([]byte, 2*unit*units)
+	rand.New(rand.NewSource(5)).Read(file)
+	if _, err := direct.WriteAt(file, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	proxy := startHeaderFlipProxy(t, direct.Clients()[0].Addr(), 2)
+	agg, err := NewStriped(unit, []string{proxy.ln.Addr().String(), direct.Clients()[1].Addr()}, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		agg.Close()
+		proxy.close()
+	})
+	res := storage.NewResilient(agg, storage.ResilientConfig{BaseBackoff: time.Millisecond})
+	got := make([]byte, len(file))
+	if n, err := res.ReadAt(got, 0); n != len(file) || err != nil {
+		t.Fatalf("ReadAt = (%d, %v), want (%d, nil)", n, err, len(file))
+	}
+	if !bytes.Equal(got, file) {
+		t.Fatal("read after the corrupted reply differs from the file")
+	}
+	if proxy.flipped.Load() != 1 {
+		t.Fatalf("proxy saw %d reply frames, none corrupted", proxy.frames.Load())
+	}
+	if retries, _ := res.RetryStats(); retries == 0 {
+		t.Fatal("the corrupted reply did not cost a retry")
 	}
 }

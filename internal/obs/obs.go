@@ -152,9 +152,13 @@ type Registry struct {
 	hists    map[string]*Hist
 }
 
+// entry is one registered metric, in registration order; exactly the
+// field of its kind is set.
 type entry struct {
 	kind Kind
-	key  string
+	c    *Counter
+	g    *Gauge
+	h    *Hist
 }
 
 // NewRegistry returns an empty registry.
@@ -202,7 +206,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	}
 	c := &Counter{name: name, help: help, labels: labels}
 	r.counters[key] = c
-	r.order = append(r.order, entry{KindCounter, key})
+	r.order = append(r.order, entry{kind: KindCounter, c: c})
 	return c
 }
 
@@ -220,7 +224,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	}
 	g := &Gauge{name: name, help: help, labels: labels}
 	r.gauges[key] = g
-	r.order = append(r.order, entry{KindGauge, key})
+	r.order = append(r.order, entry{kind: KindGauge, g: g})
 	return g
 }
 
@@ -250,30 +254,31 @@ func (r *Registry) Hist(name, help string, labels ...Label) *Hist {
 	}
 	h := &Hist{name: name, help: help, labels: labels}
 	r.hists[key] = h
-	r.order = append(r.order, entry{KindHist, key})
+	r.order = append(r.order, entry{kind: KindHist, h: h})
 	return h
 }
 
 // each visits every metric in registration order with its current
-// value, under a consistent view of the registration list.
+// value.  The registration list is copied under the lock — entries hold
+// the metrics themselves, so the visit reads no registry map and a
+// concurrent first registration cannot race it.
 func (r *Registry) each(fn func(m Metric)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	order := append([]entry(nil), r.order...)
-	counters, gauges, hists := r.counters, r.gauges, r.hists
 	r.mu.Unlock()
 	for _, e := range order {
 		switch e.kind {
 		case KindCounter:
-			c := counters[e.key]
+			c := e.c
 			fn(Metric{Kind: KindCounter, Name: c.name, Help: c.help, Labels: c.labels, Value: c.Value()})
 		case KindGauge:
-			g := gauges[e.key]
+			g := e.g
 			fn(Metric{Kind: KindGauge, Name: g.name, Help: g.help, Labels: g.labels, Value: g.Value()})
 		case KindHist:
-			h := hists[e.key]
+			h := e.h
 			fn(Metric{Kind: KindHist, Name: h.name, Help: h.help, Labels: h.labels, Hist: h.h.Data()})
 		}
 	}

@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -180,5 +183,40 @@ func TestRecorderDump(t *testing.T) {
 	off.Stop()
 	if err := off.Dump("x"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScrapeRacesFirstRegistration: scrapes run while other goroutines
+// register metrics for the first time.  Under -race this catches a
+// scrape that reads the registry's maps outside its lock; in any mode,
+// the final scrape must see every metric in registration order.
+func TestScrapeRacesFirstRegistration(t *testing.T) {
+	r := NewRegistry()
+	const n = 100
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			r.Counter(fmt.Sprintf("c%d_total", i), "counter").Inc()
+			r.GaugeFunc(fmt.Sprintf("g%d", i), "gauge", func() int64 { return 1 })
+			r.Hist(fmt.Sprintf("h%d_ns", i), "hist").Observe(int64(i))
+		}
+	}()
+	for i := 0; i < n; i++ {
+		r.Snapshot("p")
+		if err := r.WriteProm(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	snap := r.Snapshot("p")
+	if len(snap.Metrics) != 3*n {
+		t.Fatalf("final scrape saw %d metrics, want %d", len(snap.Metrics), 3*n)
+	}
+	for i, m := range snap.Metrics {
+		if want := []string{"c%d_total", "g%d", "h%d_ns"}[i%3]; m.Name != fmt.Sprintf(want, i/3) {
+			t.Fatalf("metric %d is %q, want %q", i, m.Name, fmt.Sprintf(want, i/3))
+		}
 	}
 }

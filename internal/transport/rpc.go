@@ -59,7 +59,12 @@ type FrameConn struct {
 	conn     net.Conn
 	br       *bufio.Reader
 	maxFrame int
-	wbuf     []byte // reused write staging buffer
+	left     int                 // unread payload bytes of the last header read
+	rhdr     [rpcHeaderSize]byte // header scratch, read side
+	whdr     [rpcHeaderSize]byte // header scratch, write side
+	vec      [2][]byte           // header + payload iovec
+	bufs     net.Buffers         // WriteTo's consumable view of vec
+	wbuf     []byte              // one-Write staging, chaos connections only
 }
 
 // NewFrameConn wraps conn.  maxFrame bounds accepted payload lengths
@@ -77,48 +82,82 @@ func NewFrameConn(conn net.Conn, maxFrame int) *FrameConn {
 }
 
 // WriteFrame sends one frame: seq is echoed by the peer's response, tag
-// the protocol operation.
+// the protocol operation.  Header and payload leave in one vectored
+// write (writev on a TCP connection), so the payload is never copied.
+// A ChaosConn draws its faults per Write, so it gets the frame as one
+// joined Write instead.
 func (fc *FrameConn) WriteFrame(seq, tag int, payload []byte) error {
 	if len(payload) > fc.maxFrame {
 		return fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, len(payload), fc.maxFrame)
 	}
-	var hdr [rpcHeaderSize]byte
+	hdr := fc.whdr[:]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(int32(seq)))
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(int32(tag)))
 	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(hdr[:FrameHeaderSize], rpcCRCTable))
-	fc.wbuf = append(fc.wbuf[:0], hdr[:]...)
-	fc.wbuf = append(fc.wbuf, payload...)
-	_, err := fc.conn.Write(fc.wbuf)
+	if _, chaos := fc.conn.(*ChaosConn); chaos {
+		fc.wbuf = append(append(fc.wbuf[:0], hdr...), payload...)
+		_, err := fc.conn.Write(fc.wbuf)
+		return err
+	}
+	fc.vec = [2][]byte{hdr, payload}
+	fc.bufs = fc.vec[:]
+	_, err := fc.bufs.WriteTo(fc.conn)
+	fc.vec[1] = nil // do not pin the caller's payload
 	return err
 }
 
-// ReadFrame reads one frame.  The payload is freshly allocated (at most
-// maxFrame bytes, validated before allocation); a truncated header, a
-// header checksum mismatch, or an oversized length returns an error
-// wrapping ErrFrame.
-func (fc *FrameConn) ReadFrame() (seq, tag int, payload []byte, err error) {
-	var hdr [rpcHeaderSize]byte
-	if _, err := io.ReadFull(fc.br, hdr[:]); err != nil {
-		return 0, 0, nil, err // EOF between frames is a link event, not a frame error
+// ReadHeader reads the next frame's header and returns its envelope and
+// payload length.  The payload follows through ReadPayload; whatever of
+// it is left unread is skipped by the next ReadHeader.  A truncated
+// header, a header checksum mismatch, or a length over the limit
+// returns an error wrapping ErrFrame; EOF between frames is returned
+// as is (a link event, not a frame error).
+func (fc *FrameConn) ReadHeader() (seq, tag, n int, err error) {
+	if fc.left > 0 {
+		skipped, err := fc.br.Discard(fc.left)
+		fc.left -= skipped
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("%w: truncated payload: %v", ErrFrame, err)
+		}
+	}
+	hdr := fc.rhdr[:]
+	if _, err := io.ReadFull(fc.br, hdr); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("%w: truncated header", ErrFrame)
+		}
+		return 0, 0, 0, err
 	}
 	if got, want := crc32.Checksum(hdr[:FrameHeaderSize], rpcCRCTable), binary.LittleEndian.Uint32(hdr[12:16]); got != want {
-		return 0, 0, nil, fmt.Errorf("%w: header checksum mismatch (%#x vs %#x)", ErrFrame, got, want)
+		return 0, 0, 0, fmt.Errorf("%w: header checksum mismatch (%#x vs %#x)", ErrFrame, got, want)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > uint32(fc.maxFrame) {
-		return 0, 0, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, fc.maxFrame)
+	length := binary.LittleEndian.Uint32(hdr[0:4])
+	if length > uint32(fc.maxFrame) {
+		return 0, 0, 0, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, length, fc.maxFrame)
 	}
+	fc.left = int(length)
 	seq = int(int32(binary.LittleEndian.Uint32(hdr[4:8])))
 	tag = int(int32(binary.LittleEndian.Uint32(hdr[8:12])))
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(fc.br, payload); err != nil {
+	return seq, tag, int(length), nil
+}
+
+// ReadPayload reads the next len(p) bytes of the current frame's
+// payload into p — a caller can scatter one payload straight into
+// several buffers.  Asking for more than the frame has left is an
+// error wrapping ErrFrame.
+func (fc *FrameConn) ReadPayload(p []byte) error {
+	if len(p) > fc.left {
+		return fmt.Errorf("%w: payload read of %d bytes, frame has %d left", ErrFrame, len(p), fc.left)
+	}
+	n, err := io.ReadFull(fc.br, p)
+	fc.left -= n
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrFrame, err)
+		return fmt.Errorf("%w: truncated payload: %v", ErrFrame, err)
 	}
-	return seq, tag, payload, nil
+	return nil
 }
 
 // SetDeadline bounds the next read and write on the underlying

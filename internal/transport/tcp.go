@@ -92,8 +92,8 @@ type TCP struct {
 	tr  *trace.Tracer
 	ib  *inbox
 
-	ln    net.Listener
-	links []*link // by peer rank; nil for self
+	ln    net.Listener // Dial's clear and closeWith's read hold mu
+	links []*link      // by peer rank; nil for self
 
 	mu       sync.Mutex
 	closed   bool
@@ -186,9 +186,14 @@ func (t *TCP) Dial() error {
 		}
 	}
 	defer func() {
-		if t.ln != nil {
-			t.ln.Close()
-			t.ln = nil
+		// Under t.mu: a failing link's reader may be in closeWith,
+		// which reads t.ln.
+		t.mu.Lock()
+		ln := t.ln
+		t.ln = nil
+		t.mu.Unlock()
+		if ln != nil {
+			ln.Close()
 		}
 	}()
 	hs := t.handshakeDeadline()
@@ -388,10 +393,11 @@ func (t *TCP) closeWith(cause error) error {
 		return nil
 	}
 	t.closed = true
+	ln := t.ln
 	t.mu.Unlock()
 	t.ib.close(cause)
-	if t.ln != nil {
-		t.ln.Close()
+	if ln != nil {
+		ln.Close()
 	}
 	for _, l := range t.links {
 		if l != nil {
@@ -430,8 +436,9 @@ func (t *TCP) Stats() WireStats {
 }
 
 // wireProgress reports total bytes moved, counted as they cross the
-// sockets — the stall watchdog folds this in so a slow-but-flowing
-// large frame is progress, not a stall.
+// sockets (sent bytes as their write starts) — the stall watchdog
+// folds this in so a slow-but-flowing large frame is progress, not a
+// stall.
 func (t *TCP) wireProgress() int64 { return t.bytesSent.Load() + t.bytesRecv.Load() }
 
 // outFrame is one queued outbound message.
@@ -577,11 +584,17 @@ func (l *link) writer() {
 				group += FrameHeaderSize + int64(len(fr.data))
 				l.t.framesSent.Add(1)
 			}
+			// Count the group before writing it: the peer may read and
+			// count these bytes before WriteTo returns here, and a
+			// Stats read in between would show a frame received that
+			// was never sent.  A short write takes back what did not
+			// go out.
+			l.t.bytesSent.Add(group)
 			// WriteTo consumes a shifting view; keep bufs' own header
 			// intact and clear the payload refs afterwards.
 			view := bufs
 			n, err := view.WriteTo(l.conn)
-			l.t.bytesSent.Add(n)
+			l.t.bytesSent.Add(n - group)
 			total += n
 			werr = err
 			for i := range bufs {
@@ -649,7 +662,7 @@ func (l *link) reader() {
 
 // countingReader counts bytes as they cross the socket, feeding both
 // WireStats and the watchdog's progress signal.  (The writer counts
-// from writev return values directly.)
+// each writev group itself, before the write.)
 type countingReader struct {
 	r io.Reader
 	n *atomic.Int64
