@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
@@ -134,13 +133,21 @@ func (e *listlessEngine) buildMergeview() {
 
 // nonOverlapping reports whether one instance of t covers each byte at
 // most once, including across the tiling boundary.
+//
+// t is the mergetype: its walk visits one filetype after the other, and
+// every filetype is validated monotone, so the segments come as P
+// ascending runs.  They are put in offset order by merging those runs,
+// O(N log P), rather than by sorting all N segments.
 func nonOverlapping(t *datatype.Type) bool {
-	type seg struct{ off, end int64 }
 	segs := make([]seg, 0, t.Blocks())
+	bounds := []int{0} // run i is segs[bounds[i]:bounds[i+1]]
 	t.Walk(func(off, length int64) {
+		if n := len(segs); n > 0 && off < segs[n-1].off {
+			bounds = append(bounds, n)
+		}
 		segs = append(segs, seg{off, off + length})
 	})
-	sort.Slice(segs, func(i, j int) bool { return segs[i].off < segs[j].off })
+	segs = mergeRuns(segs, append(bounds, len(segs)))
 	var prevEnd int64 = -1 << 62
 	for _, s := range segs {
 		if s.off < prevEnd {
@@ -150,6 +157,39 @@ func nonOverlapping(t *datatype.Type) bool {
 	}
 	// Tiling: data must stay within one extent window.
 	return prevEnd <= t.Extent() && (len(segs) == 0 || segs[0].off >= 0)
+}
+
+// seg is one contiguous segment [off, end) of a type map.
+type seg struct{ off, end int64 }
+
+// mergeRuns orders segs by offset, given that each run
+// segs[bounds[i]:bounds[i+1]] is already ascending: adjacent runs are
+// merged pairwise until one run is left.  Equal offsets keep run order.
+func mergeRuns(segs []seg, bounds []int) []seg {
+	var buf []seg
+	for len(bounds) > 2 {
+		if buf == nil {
+			buf = make([]seg, len(segs))
+		}
+		next := []int{0}
+		for k := 0; k+1 < len(bounds); k += 2 {
+			lo, mid, hi := bounds[k], bounds[k+1], bounds[k+1]
+			if k+2 < len(bounds) {
+				hi = bounds[k+2]
+			}
+			i, j := lo, mid
+			for x := lo; x < hi; x++ {
+				if j < hi && (i == mid || segs[j].off < segs[i].off) {
+					buf[x], j = segs[j], j+1
+				} else {
+					buf[x], i = segs[i], i+1
+				}
+			}
+			next = append(next, hi)
+		}
+		segs, buf, bounds = buf, segs, next
+	}
+	return segs
 }
 
 // Engine-neutral navigation uses O(depth) flattening-on-the-fly calls.

@@ -144,6 +144,46 @@ func BenchmarkPackProgram(b *testing.B) {
 	})
 }
 
+// BenchmarkCopyGroup times the shared copy kernel on one group of
+// evenly spaced runs per call, for each width class at a stride of twice
+// the width over 1 MiB of data, and for the Fig. 6 shape (16384 runs of
+// 16 B at stride 32).  The copy sub-benchmarks move the same bytes with
+// one memmove: the floor the pack and unpack kernels are measured
+// against.
+func BenchmarkCopyGroup(b *testing.B) {
+	type shape struct {
+		name          string
+		bl, stride, n int64
+	}
+	var shapes []shape
+	for _, w := range []int64{1, 2, 4, 8, 12, 16, 24, 32, 64, 480} {
+		shapes = append(shapes, shape{fmt.Sprintf("w=%d", w), w, 2 * w, (1 << 20) / w})
+	}
+	shapes = append(shapes, shape{"fig6", 16, 32, 16384})
+	for _, sh := range shapes {
+		typed := make([]byte, (sh.n-1)*sh.stride+sh.bl)
+		packed := make([]byte, sh.n*sh.bl)
+		b.Run(sh.name+"/pack", func(b *testing.B) {
+			b.SetBytes(int64(len(packed)))
+			for i := 0; i < b.N; i++ {
+				copyGroup(packed, typed, 0, sh.bl, sh.stride, sh.n, true)
+			}
+		})
+		b.Run(sh.name+"/unpack", func(b *testing.B) {
+			b.SetBytes(int64(len(packed)))
+			for i := 0; i < b.N; i++ {
+				copyGroup(packed, typed, 0, sh.bl, sh.stride, sh.n, false)
+			}
+		})
+		b.Run(sh.name+"/copy", func(b *testing.B) {
+			b.SetBytes(int64(len(packed)))
+			for i := 0; i < b.N; i++ {
+				copy(packed, typed)
+			}
+		})
+	}
+}
+
 // BenchmarkDeepTree checks that navigation stays fast on deep trees.
 func BenchmarkDeepTree(b *testing.B) {
 	dt := datatype.Double

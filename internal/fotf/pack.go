@@ -1,10 +1,6 @@
 package fotf
 
-import (
-	"encoding/binary"
-
-	"repro/internal/datatype"
-)
+import "repro/internal/datatype"
 
 // Pack packs data from the typed buffer src into the contiguous buffer
 // dst, skipping the first skip data bytes of the (indefinitely tiled)
@@ -24,9 +20,7 @@ func Pack(dst, src []byte, t *datatype.Type, skip int64) int64 {
 	if limit <= 0 {
 		return 0
 	}
-	Runs(t, skip, skip+limit, func(bufOff, dataOff, runLen, stride, n int64) {
-		copyGroup(dst[dataOff-skip:], src, bufOff, runLen, stride, n, true)
-	})
+	CopyRange(dst[:limit], src, t, skip, skip+limit, 0, true)
 	return limit
 }
 
@@ -42,9 +36,7 @@ func Unpack(dst, src []byte, t *datatype.Type, skip int64) int64 {
 	if limit <= 0 {
 		return 0
 	}
-	Runs(t, skip, skip+limit, func(bufOff, dataOff, runLen, stride, n int64) {
-		copyGroup(src[dataOff-skip:], dst, bufOff, runLen, stride, n, false)
-	})
+	CopyRange(src[:limit], dst, t, skip, skip+limit, 0, false)
 	return limit
 }
 
@@ -59,9 +51,7 @@ func PackCount(dst, src []byte, count int64, t *datatype.Type, skip int64) int64
 	if limit <= 0 {
 		return 0
 	}
-	Runs(t, skip, skip+limit, func(bufOff, dataOff, runLen, stride, n int64) {
-		copyGroup(dst[dataOff-skip:], src, bufOff, runLen, stride, n, true)
-	})
+	CopyRange(dst[:limit], src, t, skip, skip+limit, 0, true)
 	return limit
 }
 
@@ -74,9 +64,7 @@ func UnpackCount(dst, src []byte, count int64, t *datatype.Type, skip int64) int
 	if limit <= 0 {
 		return 0
 	}
-	Runs(t, skip, skip+limit, func(bufOff, dataOff, runLen, stride, n int64) {
-		copyGroup(src[dataOff-skip:], dst, bufOff, runLen, stride, n, false)
-	})
+	CopyRange(src[:limit], dst, t, skip, skip+limit, 0, false)
 	return limit
 }
 
@@ -102,69 +90,6 @@ func avail(t *datatype.Type, buflen, skip int64) int64 {
 		return 0
 	}
 	return total - skip
-}
-
-// copyGroup moves one group of n evenly spaced runs between the typed
-// buffer b (runs of runLen bytes at bufOff + i*stride) and the contiguous
-// buffer c (at i*runLen).  pack=true copies b→c.  Width-specialized inner
-// loops take the role of the SX gather/scatter operations.
-func copyGroup(c, b []byte, bufOff, runLen, stride, n int64, pack bool) {
-	if n == 1 || stride == runLen {
-		// Single run, or runs that abut: one big copy.
-		total := runLen * n
-		if pack {
-			copy(c[:total], b[bufOff:bufOff+total])
-		} else {
-			copy(b[bufOff:bufOff+total], c[:total])
-		}
-		return
-	}
-	switch runLen {
-	case 4:
-		if pack {
-			for i := int64(0); i < n; i++ {
-				binary.LittleEndian.PutUint32(c[i*4:], binary.LittleEndian.Uint32(b[bufOff+i*stride:]))
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				binary.LittleEndian.PutUint32(b[bufOff+i*stride:], binary.LittleEndian.Uint32(c[i*4:]))
-			}
-		}
-	case 8:
-		if pack {
-			for i := int64(0); i < n; i++ {
-				binary.LittleEndian.PutUint64(c[i*8:], binary.LittleEndian.Uint64(b[bufOff+i*stride:]))
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				binary.LittleEndian.PutUint64(b[bufOff+i*stride:], binary.LittleEndian.Uint64(c[i*8:]))
-			}
-		}
-	case 16:
-		if pack {
-			for i := int64(0); i < n; i++ {
-				s := b[bufOff+i*stride:]
-				binary.LittleEndian.PutUint64(c[i*16:], binary.LittleEndian.Uint64(s))
-				binary.LittleEndian.PutUint64(c[i*16+8:], binary.LittleEndian.Uint64(s[8:]))
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				d := b[bufOff+i*stride:]
-				binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(c[i*16:]))
-				binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(c[i*16+8:]))
-			}
-		}
-	default:
-		if pack {
-			for i := int64(0); i < n; i++ {
-				copy(c[i*runLen:(i+1)*runLen], b[bufOff+i*stride:])
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				copy(b[bufOff+i*stride:bufOff+i*stride+runLen], c[i*runLen:])
-			}
-		}
-	}
 }
 
 // CopyRange moves the data bytes [d0, d1) of the tiled type t between the

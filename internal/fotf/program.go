@@ -9,16 +9,17 @@
 // {base, blocklen, stride, count} groups — coalescing runs that the
 // tree shape hides from the walk (abutting runs merge, arithmetic
 // progressions of equal-length runs merge across block and member
-// boundaries) — and selects a width-specialized copy kernel per group
-// at compile time.  Execution over a data window [d0, d1) is then a
-// prefix-sum search plus tight batch loops with no tree in sight, and a
-// Cursor resumes sequential windows in O(1).
+// boundaries).  Execution over a data window [d0, d1) is then a
+// prefix-sum search plus one copyGroup call per group — the copy kernel
+// the walk uses too — with no tree in sight, and a Cursor resumes
+// sequential windows in O(1).
 //
 // Programs are semantically equivalent to the walk: byte-identical
 // pack/unpack for every window, including windows that split groups or
-// elements (a split never sends a partial element through a width
-// kernel — partial head/tail runs always take the byte path).  The
-// differential layer (program_test.go, FuzzProgramVsWalk) pins this.
+// elements (a split never sends a partial element through the kernel's
+// fixed-width moves — partial head/tail runs move as single runs, one
+// copy each).  The differential layer (program_test.go,
+// FuzzProgramVsWalk) pins this.
 package fotf
 
 import "repro/internal/datatype"
@@ -44,7 +45,6 @@ type progGroup struct {
 	blocklen int64
 	stride   int64
 	count    int64
-	kern     uint8 // copy kernel, selected at compile time
 }
 
 // Program is the compiled run program of one datatype: the flat-array
@@ -75,7 +75,6 @@ func Compile(t *datatype.Type) *Program {
 	p.cum = make([]int64, len(p.groups)+1)
 	for i := range p.groups {
 		g := &p.groups[i]
-		g.kern = kernelFor(g.blocklen)
 		p.cum[i+1] = p.cum[i] + g.blocklen*g.count
 	}
 	if p.cum[len(p.groups)] != p.size {
@@ -169,7 +168,7 @@ func (p *Program) findGroup(d int64) int {
 // semantics of the package-level CopyRange: run at buffer offset o
 // lands at b[o-bias], data byte d lands at c[d-d0], pack=true copies
 // b→c.  Positioning costs one binary search; the copy itself is the
-// compiled group array driven through the width kernels.
+// compiled group array driven through copyGroup.
 func (p *Program) CopyRange(c, b []byte, d0, d1, bias int64, pack bool) {
 	p.copyRange(c, b, d0, d1, bias, pack, nil)
 }
@@ -238,33 +237,21 @@ func (p *Program) copyRange(c, b []byte, d0, d1, bias int64, pack bool, cur *Cur
 
 // execGroup copies the group-local data range [glo, ghi) of g, whose
 // run 0 starts at b[gbase], with cg[0] holding data byte glo.  Runs
-// split by the window boundary go through the byte path; only whole
-// runs reach the width kernel — a split mid-element must never execute
-// as a (full-width) element.
+// split by the window boundary move as single partial runs (one copy
+// each); only whole runs move as a group — a split mid-element must
+// never execute as a (full-width) element.
 func execGroup(cg, b []byte, gbase int64, g *progGroup, glo, ghi int64, pack bool) {
 	bl := g.blocklen
 	i0 := glo / bl
 	i1 := (ghi - 1) / bl
 	if i0 == i1 {
-		o := gbase + i0*g.stride + (glo - i0*bl)
-		n := ghi - glo
-		if pack {
-			copy(cg[:n], b[o:o+n])
-		} else {
-			copy(b[o:o+n], cg[:n])
-		}
+		copyGroup(cg, b, gbase+i0*g.stride+(glo-i0*bl), ghi-glo, 0, 1, pack)
 		return
 	}
 	var cpos int64
 	if r := glo - i0*bl; r != 0 {
-		o := gbase + i0*g.stride + r
-		n := bl - r
-		if pack {
-			copy(cg[:n], b[o:o+n])
-		} else {
-			copy(b[o:o+n], cg[:n])
-		}
-		cpos = n
+		copyGroup(cg, b, gbase+i0*g.stride+r, bl-r, 0, 1, pack)
+		cpos = bl - r
 		i0++
 	}
 	iN := i1
@@ -276,16 +263,11 @@ func execGroup(cg, b []byte, gbase int64, g *progGroup, glo, ghi int64, pack boo
 	}
 	if iN >= i0 {
 		n := iN - i0 + 1
-		kernExec(g.kern, cg[cpos:], b, gbase+i0*g.stride, bl, g.stride, n, pack)
+		copyGroup(cg[cpos:], b, gbase+i0*g.stride, bl, g.stride, n, pack)
 		cpos += n * bl
 	}
 	if tail != 0 {
-		o := gbase + i1*g.stride
-		if pack {
-			copy(cg[cpos:cpos+tail], b[o:o+tail])
-		} else {
-			copy(b[o:o+tail], cg[cpos:cpos+tail])
-		}
+		copyGroup(cg[cpos:], b, gbase+i1*g.stride, tail, 0, 1, pack)
 	}
 }
 
