@@ -20,26 +20,40 @@ import (
 func TestPhaseAccountingAgrees(t *testing.T) {
 	const P, blockcount, blocklen = 4, 40, 16
 	d := int64(blockcount * blocklen)
+	// The -ncmem ops use a holey memtype (8-byte elements every 16
+	// bytes), so the listless engine moves data in one pass: the
+	// sieving window and each IOP's own chunk, charged to CopyNs.
+	holey, err := datatype.Resized(datatype.Double, 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAll := func(f *File, mt *datatype.Type, buf []byte) error {
+		_, err := f.WriteAtAll(0, d/mt.Size(), mt, buf)
+		return err
+	}
+	readAll := func(f *File, mt *datatype.Type, buf []byte) error {
+		_, err := f.ReadAtAll(0, d/mt.Size(), mt, buf)
+		return err
+	}
+	indep := func(f *File, mt *datatype.Type, buf []byte) error {
+		if _, err := f.WriteAt(0, d/mt.Size(), mt, buf); err != nil {
+			return err
+		}
+		_, err := f.ReadAt(0, d/mt.Size(), mt, buf)
+		return err
+	}
 	ops := []struct {
 		name       string
 		collective bool
-		run        func(f *File, buf []byte) error
+		mem        *datatype.Type
+		run        func(f *File, mt *datatype.Type, buf []byte) error
 	}{
-		{"coll-write", true, func(f *File, buf []byte) error {
-			_, err := f.WriteAtAll(0, d, datatype.Byte, buf)
-			return err
-		}},
-		{"coll-read", true, func(f *File, buf []byte) error {
-			_, err := f.ReadAtAll(0, d, datatype.Byte, buf)
-			return err
-		}},
-		{"indep", false, func(f *File, buf []byte) error {
-			if _, err := f.WriteAt(0, d, datatype.Byte, buf); err != nil {
-				return err
-			}
-			_, err := f.ReadAt(0, d, datatype.Byte, buf)
-			return err
-		}},
+		{"coll-write", true, datatype.Byte, writeAll},
+		{"coll-read", true, datatype.Byte, readAll},
+		{"indep", false, datatype.Byte, indep},
+		{"coll-write-ncmem", true, holey, writeAll},
+		{"coll-read-ncmem", true, holey, readAll},
+		{"indep-ncmem", false, holey, indep},
 	}
 	for _, eng := range []Engine{Listless, ListBased} {
 		for _, seq := range []bool{false, true} {
@@ -64,7 +78,8 @@ func TestPhaseAccountingAgrees(t *testing.T) {
 						if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
 							panic(err)
 						}
-						if err := op.run(f, pattern(p.Rank(), d)); err != nil {
+						buf := pattern(p.Rank(), d/op.mem.Size()*op.mem.Extent())
+						if err := op.run(f, op.mem, buf); err != nil {
 							panic(err)
 						}
 						stats[p.Rank()] = f.Stats
@@ -108,6 +123,9 @@ func TestPhaseAccountingAgrees(t *testing.T) {
 					}
 					if !op.collective && (total.SieveReads == 0 || total.SieveWrites == 0 || total.BytesWritten != P*d) {
 						t.Errorf("independent access not counted: %+v", total)
+					}
+					if oneP := eng == Listless && op.mem != datatype.Byte; oneP != (total.MovedBytes > 0) {
+						t.Errorf("MovedBytes %d: one-pass path expected %v", total.MovedBytes, oneP)
 					}
 				})
 			}

@@ -40,15 +40,16 @@ func allocView(f *File, blocks int64) error {
 }
 
 // measureCollective returns the average allocations of one collective
-// access of d data bytes in an already-warm world.
-func measureCollective(t *testing.T, f *File, buf []byte, d int64, write bool) float64 {
+// access of d data bytes, from d/mt.Size() memtypes mt in buf, in an
+// already-warm world.
+func measureCollective(t *testing.T, f *File, mt *datatype.Type, buf []byte, d int64, write bool) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(10, func() {
 		var err error
 		if write {
-			_, err = f.WriteAtAll(0, d, datatype.Byte, buf[:d])
+			_, err = f.WriteAtAll(0, d/mt.Size(), mt, buf)
 		} else {
-			_, err = f.ReadAtAll(0, d, datatype.Byte, buf[:d])
+			_, err = f.ReadAtAll(0, d/mt.Size(), mt, buf)
 		}
 		if err != nil {
 			t.Errorf("collective: %v", err)
@@ -82,23 +83,35 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics bool, wantP
 		if err := allocView(f, dLarge/allocBlocklen); err != nil {
 			panic(err)
 		}
-		buf := make([]byte, dLarge)
-
-		// Warm-up: grows the inbox queue to its high-water mark, fills
-		// the buffer pool's classes, and populates the engine freelist.
-		if _, err := f.WriteAtAll(0, dLarge, datatype.Byte, buf); err != nil {
+		// A contiguous memtype, and a holey one (8-byte elements every
+		// 16 bytes), whose data the listless IOP moves in one pass.
+		holey, err := datatype.Resized(datatype.Double, 0, 16)
+		if err != nil {
 			panic(err)
 		}
-		if _, err := f.ReadAtAll(0, dLarge, datatype.Byte, buf); err != nil {
-			panic(err)
-		}
+		for _, mt := range []*datatype.Type{datatype.Byte, holey} {
+			buf := make([]byte, dLarge/mt.Size()*mt.Extent())
 
-		aSmall := measureCollective(t, f, buf, dSmall, write)
-		aLarge := measureCollective(t, f, buf, dLarge, write)
-		perWindow := (aLarge - aSmall) / (winLarge - winSmall)
-		if perWindow > wantPerWindow {
-			t.Errorf("engine %v write=%v: %.2f allocs per steady-state window (small=%v large=%v), want <= %v",
-				engine, write, perWindow, aSmall, aLarge, wantPerWindow)
+			// Warm-up: grows the inbox queue to its high-water mark,
+			// fills the buffer pool's classes, and populates the engine
+			// freelist.
+			if _, err := f.WriteAtAll(0, dLarge/mt.Size(), mt, buf); err != nil {
+				panic(err)
+			}
+			if _, err := f.ReadAtAll(0, dLarge/mt.Size(), mt, buf); err != nil {
+				panic(err)
+			}
+
+			aSmall := measureCollective(t, f, mt, buf, dSmall, write)
+			aLarge := measureCollective(t, f, mt, buf, dLarge, write)
+			perWindow := (aLarge - aSmall) / (winLarge - winSmall)
+			if perWindow > wantPerWindow {
+				t.Errorf("engine %v write=%v memtype %v: %.2f allocs per steady-state window (small=%v large=%v), want <= %v",
+					engine, write, mt, perWindow, aSmall, aLarge, wantPerWindow)
+			}
+		}
+		if engine == Listless && f.Stats.MovedBytes == 0 {
+			t.Error("the holey memtype did not take the one-pass path")
 		}
 	})
 	if err != nil {
@@ -148,8 +161,8 @@ func TestListlessSequentialWindowZeroAlloc(t *testing.T) {
 		if _, err := f.WriteAtAll(0, d, datatype.Byte, buf); err != nil {
 			panic(err)
 		}
-		aSmall := measureCollective(t, f, buf, d/4, true)
-		aLarge := measureCollective(t, f, buf, d, true)
+		aSmall := measureCollective(t, f, datatype.Byte, buf, d/4, true)
+		aLarge := measureCollective(t, f, datatype.Byte, buf, d, true)
 		if perWindow := (aLarge - aSmall) / 6; perWindow > 0 {
 			t.Errorf("sequential loop: %.2f allocs per window (small=%v large=%v)", perWindow, aSmall, aLarge)
 		}
@@ -180,8 +193,8 @@ func TestUnpooledAblationAllocates(t *testing.T) {
 		if _, err := f.WriteAtAll(0, dLarge, datatype.Byte, buf); err != nil {
 			panic(err)
 		}
-		aSmall := measureCollective(t, f, buf, dSmall, true)
-		aLarge := measureCollective(t, f, buf, dLarge, true)
+		aSmall := measureCollective(t, f, datatype.Byte, buf, dSmall, true)
+		aLarge := measureCollective(t, f, datatype.Byte, buf, dLarge, true)
 		if perWindow := (aLarge - aSmall) / 12; perWindow < 1 {
 			t.Errorf("unpooled ablation allocates %.2f per window; expected >= 1 (is the measurement broken?)", perWindow)
 		}

@@ -111,15 +111,25 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	ap := f.eng.apSetup(pl, d0, d)
 	asp.End()
 
-	// ---- AP phase 2 (write): pack and send data; buffered sends. ----
-	if write && d > 0 {
-		f.apExchange(pl, d0, d, mem, buf, ap, true)
+	// An IOP moves its own rank's data straight between the user buffer
+	// and its windows when the engine gave mem a fileview program; the
+	// AP then neither packs, sends, receives nor unpacks that data.
+	var own *ownChunk
+	if mem.file != nil && f.p.Rank() < pl.nIOP {
+		own = &ownChunk{mem: mem, buf: buf, d0: d0, cur: ap.cursor(f.p.Rank())}
 	}
 
-	// ---- IOP phase: process the file domain window by window. ----
+	// ---- AP phase 2 (write): pack and send data; buffered sends. ----
+	if write && d > 0 {
+		f.apExchange(pl, d0, d, mem, buf, ap, own != nil, true)
+	}
+
+	// ---- IOP phase: process the file domain window by window.  A
+	// read's own chunk lands in buf here, before the error agreement, so
+	// a failed collective read may leave those bytes in buf. ----
 	var fault *CollectiveError
 	if f.p.Rank() < pl.nIOP {
-		fault = f.iopProcess(pl, write)
+		fault = f.iopProcess(pl, own, write)
 	}
 
 	// ---- Error agreement: every rank votes its IOP-phase outcome and,
@@ -152,7 +162,7 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 
 	// ---- AP phase 2 (read): receive and unpack data. ----
 	if !write && d > 0 {
-		f.apExchange(pl, d0, d, mem, buf, ap, false)
+		f.apExchange(pl, d0, d, mem, buf, ap, own != nil, false)
 	}
 
 	f.p.Barrier()

@@ -6,12 +6,14 @@ import "repro/internal/trace"
 // schedule order and, for each one containing this rank's data, packs
 // and sends (write) or receives and unpacks (read) that data.  The
 // engine's apCursor locates this rank's data range per window; the
-// neutral code moves it and accounts the per-phase time.
-func (f *File) apExchange(pl *collPlan, d0, d int64, mem *memState, buf []byte, ap apState, write bool) {
+// neutral code moves it and accounts the per-phase time.  With ownMoved
+// the rank's own IOP domain is skipped: its IOP moves that data itself
+// (File.moveOwn).
+func (f *File) apExchange(pl *collPlan, d0, d int64, mem *memState, buf []byte, ap apState, ownMoved, write bool) {
 	myLo, myHi := pl.los[f.p.Rank()], pl.his[f.p.Rank()]
 	for i := 0; i < pl.nIOP; i++ {
 		domLo, domHi := pl.domain(i)
-		if domHi <= myLo || domLo >= myHi || domLo == domHi {
+		if domHi <= myLo || domLo >= myHi || domLo == domHi || (ownMoved && i == f.p.Rank()) {
 			continue
 		}
 		cur := ap.cursor(i)
@@ -44,4 +46,27 @@ func (f *File) apExchange(pl *collPlan, d0, d int64, mem *memState, buf []byte, 
 			}
 		}
 	}
+}
+
+// ownChunk is this rank's own share of a collective access, which its
+// IOP moves in one pass between the user buffer and each window
+// (memState.moveWindow) instead of exchanging it with itself.  cur is
+// the rank's AP cursor over its own IOP domain, which the AP side then
+// leaves unused.
+type ownChunk struct {
+	mem *memState
+	buf []byte
+	d0  int64
+	cur apCursor
+}
+
+// moveOwn moves this rank's data in the window w, which holds the file
+// bytes from winLo, between w and the user buffer, charged to CopyNs as
+// the copy it replaces.
+func (f *File) moveOwn(own *ownChunk, w []byte, winLo int64, write bool) {
+	a, b := own.cur.window(winLo, winLo+int64(len(w)))
+	ct := f.tr.Start(trace.PhaseCopy, winLo, b-a)
+	own.mem.moveWindow(w, winLo, a, own.buf, a-own.d0, b-a, write)
+	f.add(stCopyNs, ct.Stop())
+	f.add(stMovedBytes, b-a)
 }

@@ -39,7 +39,7 @@ import (
 // for an empty domain, to drain the AP phase-1 messages), then the
 // window loop over the domain.  Failures come back phase-attributed for
 // the error-agreement vote.
-func (f *File) iopProcess(pl *collPlan, write bool) *CollectiveError {
+func (f *File) iopProcess(pl *collPlan, own *ownChunk, write bool) *CollectiveError {
 	ssp := f.tr.Begin(trace.PhaseIOPSetup, trace.NoWindow, 0)
 	iop, err := f.eng.iopSetup(pl)
 	ssp.End()
@@ -52,9 +52,9 @@ func (f *File) iopProcess(pl *collPlan, write bool) *CollectiveError {
 	}
 	winSize := min(int64(f.opts.CollBufSize), domHi-domLo)
 	if f.opts.DisableCollPipeline {
-		err = f.iopSequential(iop, domLo, domHi, winSize, write)
+		err = f.iopSequential(iop, own, domLo, domHi, winSize, write)
 	} else {
-		err = f.iopPipelined(iop, domLo, domHi, winSize, write)
+		err = f.iopPipelined(iop, own, domLo, domHi, winSize, write)
 	}
 	if err != nil {
 		return &CollectiveError{Rank: f.p.Rank(), Phase: PhaseIOPWindow, Err: err}
@@ -66,10 +66,16 @@ func (f *File) iopProcess(pl *collPlan, write bool) *CollectiveError {
 // it into the window buffer w, accounting exchange and copy time.  The
 // received chunks are owned by this rank (SendNoCopy transfers
 // ownership end-to-end) and are returned to the pool after merging.
-// winLo annotates the trace spans with the window's file offset.
-func (f *File) iopExchangeWrite(iw iopWindow, w []byte, winLo int64) {
+// This rank's own data, with own set, moves from the user buffer
+// instead, in rank order like a received chunk.  winLo annotates the
+// trace spans with the window's file offset.
+func (f *File) iopExchangeWrite(iw iopWindow, own *ownChunk, w []byte, winLo int64) {
 	for r := 0; r < f.p.Size(); r++ {
 		if iw.chunkLen(r) == 0 {
+			continue
+		}
+		if own != nil && r == f.p.Rank() {
+			f.moveOwn(own, w, winLo, true)
 			continue
 		}
 		et := f.tr.Start(trace.PhaseExchange, winLo, 0)
@@ -85,11 +91,16 @@ func (f *File) iopExchangeWrite(iw iopWindow, w []byte, winLo int64) {
 // iopExchangeRead extracts every AP's portion of the window buffer w
 // and sends it, accounting copy and exchange time.  Chunk ownership
 // passes to the transport and onward to the receiving AP, which
-// recycles it after unpacking.
-func (f *File) iopExchangeRead(iw iopWindow, w []byte, winLo int64) {
+// recycles it after unpacking.  This rank's own portion, with own set,
+// moves into the user buffer instead.
+func (f *File) iopExchangeRead(iw iopWindow, own *ownChunk, w []byte, winLo int64) {
 	for r := 0; r < f.p.Size(); r++ {
 		n := iw.chunkLen(r)
 		if n == 0 {
+			continue
+		}
+		if own != nil && r == f.p.Rank() {
+			f.moveOwn(own, w, winLo, false)
 			continue
 		}
 		ct := f.tr.Start(trace.PhaseCopy, winLo, n)
@@ -103,7 +114,7 @@ func (f *File) iopExchangeRead(iw iopWindow, w []byte, winLo int64) {
 }
 
 // iopSequential is the strictly ordered window loop.
-func (f *File) iopSequential(iop iopState, domLo, domHi, winSize int64, write bool) error {
+func (f *File) iopSequential(iop iopState, own *ownChunk, domLo, domHi, winSize int64, write bool) error {
 	win := f.bp.Get(int(winSize))
 	defer f.bp.Put(win)
 	for winLo := domLo; winLo < domHi; winLo += winSize {
@@ -129,7 +140,7 @@ func (f *File) iopSequential(iop iopState, domLo, domHi, winSize int64, write bo
 					return err
 				}
 			}
-			f.iopExchangeWrite(iw, w, winLo)
+			f.iopExchangeWrite(iw, own, w, winLo)
 			bt := f.tr.Start(trace.PhaseWriteBack, winLo, int64(len(w)))
 			_, err := f.sh.b.WriteAt(w, winLo)
 			f.add(stStorageNs, bt.Stop())
@@ -149,7 +160,7 @@ func (f *File) iopSequential(iop iopState, domLo, domHi, winSize int64, write bo
 				return err
 			}
 			f.add(stSieveReads, 1)
-			f.iopExchangeRead(iw, w, winLo)
+			f.iopExchangeRead(iw, own, w, winLo)
 		}
 		wsp.End()
 		f.add(stWindows, 1)
@@ -234,7 +245,7 @@ type pipeWindow struct {
 // k-1 share a slot), so at most two windows are ever in flight; the
 // main goroutine does all exchange and copying and hands write-backs to
 // the slot workers.
-func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write bool) error {
+func (f *File) iopPipelined(iop iopState, own *ownChunk, domLo, domHi, winSize int64, write bool) error {
 	var slots [2]*pipeSlot
 	for i := range slots {
 		s := &pipeSlot{
@@ -309,12 +320,12 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 			if cur.covered {
 				f.add(stPreReadsSkipped, 1)
 			}
-			f.iopExchangeWrite(cur.iw, w, cur.lo)
+			f.iopExchangeWrite(cur.iw, own, w, cur.lo)
 			f.add(stSieveWrites, 1)
 			cur.slot.req <- pipeReq{lo: cur.lo, hi: cur.hi, kind: pipeWrite}
 		} else {
 			f.add(stSieveReads, 1)
-			f.iopExchangeRead(cur.iw, w, cur.lo)
+			f.iopExchangeRead(cur.iw, own, w, cur.lo)
 		}
 		wsp.End()
 		f.add(stWindows, 1)

@@ -141,6 +141,30 @@ type memState struct {
 	// guards fall back by leaving prog nil.
 	prog *fotf.Program
 	cur  fotf.Cursor
+
+	// file, when non-nil, is this rank's compiled fileview program (its
+	// displacement is disp), set together with prog by an engine that
+	// moves data between the user buffer and a file window in one pass
+	// (moveWindow) instead of staging it through a contiguous buffer:
+	// in independent sieving and for the IOP's own chunk of a
+	// collective.  nil keeps the staged path: the list-based engine, the
+	// DisableProgram ablation, and types Compile declines.
+	file *fotf.Program
+	disp int64
+}
+
+// moveWindow moves view data [dv, dv+n) between the file window w,
+// which holds the file bytes from absolute offset winLo, and the user
+// buffer buf from memtype data offset skip, in one pass with no staging
+// buffer (fotf.Move).  write=true copies user→window.  It needs file.
+func (ms *memState) moveWindow(w []byte, winLo, dv int64, buf []byte, skip, n int64, write bool) {
+	win := fotf.Typed{P: ms.file, B: w, Bias: winLo - ms.disp}
+	user := fotf.Typed{P: ms.prog, B: buf}
+	if write {
+		fotf.Move(win, dv, user, skip, n)
+	} else {
+		fotf.Move(user, skip, win, dv, n)
+	}
 }
 
 // setProgram installs the compiled memtype program (which may be nil)

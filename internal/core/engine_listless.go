@@ -215,6 +215,9 @@ func (e *listlessEngine) dataInRange(lo, hi int64) int64 {
 func (e *listlessEngine) newMemState(memtype *datatype.Type, count int64) *memState {
 	ms := &memState{t: memtype, count: count}
 	ms.setProgram(e.f.lookupProgram(nil, memtype))
+	if ms.prog != nil && e.prog != nil {
+		ms.file, ms.disp = e.prog, e.f.v.disp
+	}
 	return ms
 }
 

@@ -12,7 +12,11 @@ import (
 //	c-c:   direct contiguous backend access;
 //	nc-c:  stage through the pack buffer (pack/unpack the memtype);
 //	c-nc:  data sieving on the fileview, user buffer used directly;
-//	nc-nc: data sieving combined with pack-buffer staging (Figure 3).
+//	nc-nc: data sieving; the listless engine moves data between the
+//	       user buffer and the sieve window in one pass (fotf.Move),
+//	       where Figure 3 stages it through the pack buffer — the
+//	       staging that the list-based engine, the DisableProgram
+//	       ablation and types Compile declines still take.
 
 // WriteAt writes count instances of memtype from buf into the view at
 // offset off (in etypes), independently of other ranks.  It returns the
@@ -134,15 +138,20 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 	win := f.bp.Get(int(min(int64(f.opts.SieveBufSize), hi-lo)))
 	defer f.bp.Put(win)
 	var pb []byte
-	if !memContig {
+	if !memContig && mem.file == nil {
 		pb = f.bp.Get(f.opts.PackBufSize)
 		defer f.bp.Put(pb)
 	}
 
-	// The sequential fileview cursor: the list-based engine pays the
-	// linear O(N_block) initial positioning of §2.2 and advances
-	// per-tuple, the listless engine navigates in O(depth).
-	vc := f.eng.seekData(d0)
+	// The sequential fileview cursor of the staged path: the list-based
+	// engine pays the linear O(N_block) initial positioning of §2.2 and
+	// advances per-tuple, the listless engine navigates in O(depth).
+	// The one-pass move addresses the window through the fileview
+	// program and needs no cursor.
+	var vc viewCursor
+	if mem.file == nil {
+		vc = f.eng.seekData(d0)
+	}
 
 	dw := d0 // view-data cursor
 	for winLo := lo; winLo < hi; winLo += int64(len(win)) {
@@ -150,7 +159,12 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 		w := win[:winHi-winLo]
 
 		// Data bytes inside this window.
-		n := vc.countUpTo(winHi)
+		var n int64
+		if vc != nil {
+			n = vc.countUpTo(winHi)
+		} else {
+			n = f.eng.dataInRange(winLo, winHi)
+		}
 		if n == 0 {
 			continue
 		}
@@ -207,10 +221,16 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 }
 
 // moveWindow copies view data [dv, dv+n) between the file window w
-// (holding absolute file range starting at winLo) and the user buffer,
+// (holding absolute file range starting at winLo) and the user buffer:
+// in one pass when the engine gave mem a fileview program, otherwise
 // staging through pb when the memory layout is non-contiguous.
 // write=true copies user→window.
 func (f *File) moveWindow(w []byte, winLo, dv, n int64, buf []byte, mem *memState, memContig bool, d0 int64, pb []byte, write bool, vc viewCursor) error {
+	if mem.file != nil {
+		mem.moveWindow(w, winLo, dv, buf, dv-d0, n, write)
+		f.add(stMovedBytes, n)
+		return nil
+	}
 	chunk := n
 	if !memContig && chunk > int64(len(pb)) {
 		chunk = int64(len(pb))

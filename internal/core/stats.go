@@ -30,6 +30,10 @@ type Stats struct {
 	// Completed collective accesses and user-data volumes moved.
 	CollectiveWrites, CollectiveReads int64
 	BytesRead, BytesWritten           int64
+	// Data bytes moved in one pass between the user buffer and a file
+	// window, with no pack buffer: independent sieving and the IOP's
+	// own chunk of a collective.  0 means every access staged.
+	MovedBytes int64
 
 	// Per-phase time in nanoseconds, each the sum of the phase's trace
 	// spans on this rank: ExchangeNs is AP↔IOP data send/receive,
@@ -72,6 +76,7 @@ const (
 	stCollectiveReads
 	stBytesRead
 	stBytesWritten
+	stMovedBytes
 	stExchangeNs
 	stStorageNs
 	stCopyNs
@@ -112,6 +117,7 @@ var statTable = [numStats]struct{ field, metric, help string }{
 	{"CollectiveReads", "core_collective_reads_total", "Collective read accesses completed."},
 	{"BytesRead", "core_read_bytes_total", "Data bytes moved by collective and independent reads."},
 	{"BytesWritten", "core_written_bytes_total", "Data bytes moved by collective and independent writes."},
+	{"MovedBytes", "core_moved_bytes_total", "Data bytes moved in one pass between the user buffer and a file window, without a pack buffer."},
 	{"ExchangeNs", "core_exchange_ns_total", "Nanoseconds in AP-IOP data exchange, AP and IOP side."},
 	{"StorageNs", "core_storage_ns_total", "Nanoseconds in collective window storage I/O."},
 	{"CopyNs", "core_copy_ns_total", "Nanoseconds in pack/unpack and window merge copies, AP and IOP side."},

@@ -207,3 +207,64 @@ func BenchmarkDeepTree(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkMove times the one-pass typed-to-typed move against the
+// staged path it replaces — the source packed into a contiguous buffer
+// through its program, then unpacked into the destination — and against
+// one memmove of the same bytes.  The source is the paper's nc memtype
+// (runs at twice their width), the destination the vector fileview of
+// rank 1 of two; widths 8, 16 and 480 B over 1 MiB of data, plus the
+// fig5 (16384 runs of 8 B) and fig6 (16384 runs of 16 B) shapes.
+func BenchmarkMove(b *testing.B) {
+	type shape struct {
+		name  string
+		bl, n int64
+	}
+	var shapes []shape
+	for _, w := range []int64{8, 16, 480} {
+		shapes = append(shapes, shape{fmt.Sprintf("w=%d", w), w, (1 << 20) / w})
+	}
+	shapes = append(shapes, shape{"fig5", 8, 16384}, shape{"fig6", 16, 16384})
+	for _, sh := range shapes {
+		mem, err := datatype.Hvector(sh.n, sh.bl, 2*sh.bl, datatype.Byte)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vec, err := datatype.Hvector(sh.n, sh.bl, 2*sh.bl, datatype.Byte)
+		if err != nil {
+			b.Fatal(err)
+		}
+		file, err := datatype.Struct([]int64{1, 1, 1}, []int64{0, sh.bl, 2 * sh.n * sh.bl},
+			[]*datatype.Type{datatype.LBMarker, vec, datatype.UBMarker})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pm, pf := Compile(mem), Compile(file)
+		if pm == nil || pf == nil {
+			b.Fatal("Compile declined")
+		}
+		total := mem.Size()
+		user := make([]byte, mem.Extent())
+		win := make([]byte, file.Extent())
+		packed := make([]byte, total)
+		b.Run(sh.name+"/move", func(b *testing.B) {
+			b.SetBytes(total)
+			for i := 0; i < b.N; i++ {
+				Move(Typed{P: pf, B: win}, 0, Typed{P: pm, B: user}, 0, total)
+			}
+		})
+		b.Run(sh.name+"/staged", func(b *testing.B) {
+			b.SetBytes(total)
+			for i := 0; i < b.N; i++ {
+				pm.CopyRange(packed, user, 0, total, 0, true)
+				pf.CopyRange(packed, win, 0, total, 0, false)
+			}
+		})
+		b.Run(sh.name+"/copy", func(b *testing.B) {
+			b.SetBytes(total)
+			for i := 0; i < b.N; i++ {
+				copy(packed, user)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package ioserver
 import (
 	"encoding/binary"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -18,8 +19,9 @@ import (
 // trees) and raw unframed garbage.  The server must never panic, never
 // allocate beyond its MaxFrame bound (enforced structurally: the run
 // uses a 4 KiB frame limit, so an over-allocation shows up as an
-// obvious hang/OOM under the fuzzer), answer every well-framed bad
-// request with a typed opErr frame, and stay serviceable afterwards.
+// obvious hang/OOM under the fuzzer), never grow its stripe past
+// StripeCapacity, answer every well-framed bad request with a typed
+// opErr frame, and stay serviceable afterwards.
 
 const fuzzMaxFrame = 4096
 
@@ -38,12 +40,17 @@ var fuzzSrv struct {
 }
 
 // fuzzServer starts the shared fuzz target once per process: stripe 0
-// of a 2-way layout over a pre-seeded Mem, tiny frame limit, tiny view
-// cache (so eviction/stale paths are reachable with few requests).
+// of a 2-way layout over a pre-seeded file, tiny frame limit, tiny view
+// cache (so eviction/stale paths are reachable with few requests).  The
+// file grows sparsely, so a fuzzed truncate or write up to
+// StripeCapacity costs no memory and little disk.
 func fuzzServer(f *testing.F) string {
 	f.Helper()
 	fuzzSrv.once.Do(func() {
-		be := storage.NewMem()
+		be, err := storage.OpenFile(filepath.Join(f.TempDir(), "stripe"))
+		if err != nil {
+			f.Fatal(err)
+		}
 		if _, err := be.WriteAt(make([]byte, 1<<16), 0); err != nil {
 			f.Fatal(err)
 		}
@@ -223,9 +230,80 @@ func FuzzServerRequest(f *testing.F) {
 		}
 		// (A fuzzed opTruncate may legitimately have shrunk the backing
 		// store, so only decodability and non-negativity are asserted.)
-		if size, _, err := getV(rpayload); err != nil || size < 0 {
-			t.Fatalf("health-check size %d err=%v", size, err)
+		if size, _, err := getV(rpayload); err != nil || size < 0 || size > StripeCapacity {
+			t.Fatalf("health-check size %d (capacity %d) err=%v", size, int64(StripeCapacity), err)
 		}
 		hfc.Close()
 	})
+}
+
+// TestServerCapacity: every request that would extend the stripe past
+// StripeCapacity — a raw or staged list write, a view write, a
+// truncate, an offset at the edge of int64 — is refused with a
+// bad-request opErr and leaves the stripe as it was; requests up to the
+// capacity are served (on a sparse file, so they cost no memory).
+func TestServerCapacity(t *testing.T) {
+	const capacity = StripeCapacity
+	be, err := storage.OpenFile(filepath.Join(t.TempDir(), "stripe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	srv, err := New(Config{Backend: be, Geom: storage.StripeGeom{Unit: 64, Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := transport.NewFrameConn(conn, transport.DefaultMaxFrame)
+	defer fc.Close()
+
+	data := make([]byte, 16)
+	contig, err := datatype.Contiguous(16, datatype.Byte)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxInt64 = 1<<63 - 1
+	for i, c := range []struct {
+		op      int
+		payload []byte
+		refused bool
+	}{
+		{opWritev, append(vs(1, capacity-16, 16), data...), false},
+		{opWritev, append(vs(1, capacity-8, 16), data...), true},
+		{opWritev, append(vs(1, maxInt64-8, 16), data...), true},
+		{opStageWritev, append(vs(1, 1, capacity-8, 16), data...), true},
+		{opTruncate, vs(capacity), false},
+		{opTruncate, vs(capacity + 1), true},
+		{opTruncate, vs(1 << 62), true},
+		{opRegister, append(putV(nil, capacity-8), datatype.Encode(contig)...), false},
+		{opViewRead, vs(1, 0, 16), false},
+		{opViewWrite, append(vs(1, 0, 16), data...), true},
+		{opStageViewWrite, append(vs(1, 1, 0, 16), data...), true},
+	} {
+		if err := fc.WriteFrame(i, c.op, c.payload); err != nil {
+			t.Fatal(err)
+		}
+		_, tag, reply, err := readReply(fc)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if refused := tag == opErr; refused != c.refused {
+			t.Fatalf("request %d (op %d): refused %v, want %v (reply %q)", i, c.op, refused, c.refused, reply)
+		}
+		if class, _, _ := getV(reply); c.refused && class != classBad {
+			t.Errorf("request %d: error class %d, want %d", i, class, classBad)
+		}
+	}
+	if got := be.Size(); got != capacity {
+		t.Errorf("stripe size %d, want %d", got, capacity)
+	}
 }

@@ -80,6 +80,14 @@ const MaxListRuns = 256
 // DefaultViewCache is the per-connection registered-view LRU capacity.
 const DefaultViewCache = 64
 
+// StripeCapacity bounds every server's stripe, in local bytes: a raw
+// or staged write, view write or truncate that would extend the stripe
+// past it is refused with a bad-request error before anything is
+// written or staged.  The bound holds the stripe's size, not the
+// memory behind it: a file backend grows sparsely, but an in-memory
+// backend allocates the whole extent a request names.
+const StripeCapacity = 1 << 40
+
 // Error classes carried by opErr frames.  The client maps the first two
 // back onto the storage sentinels, so errors.Is(err, ErrTransient) and
 // IsPermanent give the same answers on both sides of the wire and a

@@ -426,6 +426,9 @@ func (st *connState) dispatch(tag int, payload []byte) ([]byte, error) {
 		if n < 0 {
 			return nil, fmt.Errorf("%w: negative truncate %d", errBadRequest, n)
 		}
+		if err := checkExtent(n, 0); err != nil {
+			return nil, err
+		}
 		return nil, st.srv.cfg.Backend.Truncate(n)
 	case opSync:
 		return nil, st.srv.cfg.Backend.Sync()
@@ -535,6 +538,11 @@ func (st *connState) opWritev(payload []byte, staged bool) ([]byte, error) {
 	if int64(len(data)) != total {
 		return nil, fmt.Errorf("%w: write list names %d bytes, payload carries %d", errBadRequest, total, len(data))
 	}
+	for _, e := range st.ents {
+		if err := checkExtent(e[0], e[1]); err != nil {
+			return nil, err
+		}
+	}
 	segs := st.carve(data)
 	if staged {
 		sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, 0, total)
@@ -642,13 +650,18 @@ func (st *connState) opView(payload []byte, op int) ([]byte, error) {
 	}
 	cfg := &st.srv.cfg
 
-	// Allocation pass: this stripe's share of the range.
+	// Allocation pass: this stripe's share of the range, and for a
+	// write the capacity check of every piece.
 	var total int64
-	err = walkView(v.t, v.disp, cfg.Geom, d0, d1, func(stripe int, _, _, n int64) error {
-		if stripe == cfg.Index {
-			total += n
+	err = walkView(v.t, v.disp, cfg.Geom, d0, d1, func(stripe int, localOff, _, n int64) error {
+		if stripe != cfg.Index {
+			return nil
 		}
-		return nil
+		total += n
+		if op == opViewRead {
+			return nil
+		}
+		return checkExtent(localOff, n)
 	})
 	if err != nil {
 		return nil, err
@@ -717,6 +730,17 @@ func (st *connState) opView(payload []byte, op int) ([]byte, error) {
 		st.tally(epoch, total)
 	}
 	return nil, nil
+}
+
+// checkExtent refuses a write of n bytes at local offset off, or a
+// truncate to off (n = 0), that would extend the stripe past
+// StripeCapacity.
+func checkExtent(off, n int64) error {
+	if off > StripeCapacity-n {
+		return fmt.Errorf("%w: [%d,+%d) extends the stripe past its capacity of %d bytes",
+			errBadRequest, off, n, int64(StripeCapacity))
+	}
+	return nil
 }
 
 // grow returns buf extended to n bytes, reallocating only when the
